@@ -1,21 +1,23 @@
 // Line-rate ingestion trajectory: replay a recorded week through the
 // binary wire front door and prove the transport is lossless: the
 // released rows (values and validity masks) must be bit-identical to
-// the in-process MessageBus path over the same recording.
+// the in-process path over the same recording.
 //
 //   ./bench_ingest [output.json]
 //
-// Legs, all recorded in BENCH_ingest.json:
-//   in_process          the MessageBus reference path (ratio baseline)
-//   wire_single_thread  the PR-era hot route — decode -> ring ->
-//                       generic station ingest on one thread, with
-//                       queue-depth percentiles via an obs histogram.
-//                       This leg is the "single lane" the plane sweep
-//                       is gated against.
+// Every leg assembles rows with the same CentralStation::ingest; they
+// differ only in how reports reach it.  Legs, all recorded in
+// BENCH_ingest.json:
+//   in_process          each tick's reports built in a vector and
+//                       ingested with now = tick (ratio baseline)
+//   wire_single_thread  decode -> SPSC ring -> station on one thread,
+//                       with queue-depth percentiles via an obs
+//                       histogram.  This leg is the "single lane" the
+//                       plane sweep is gated against.
 //   plane_sweep         the sharded ingest plane: N decoder lanes fan
 //                       decoded reports through per-shard rings into
-//                       one ordered CentralStation per shard, swept
-//                       over lanes x shard counts.  Every cell must be
+//                       one CentralStation per shard, swept over lanes
+//                       x shard counts.  Every cell must be
 //                       bit-identical to the in-process reference.
 //   corrupt             the same frames with injected bit flips and a
 //                       torn tail: every rejection must land in a
@@ -141,29 +143,31 @@ struct ReferenceResult {
 };
 
 /// The in-process reference path over the first `ticks` ticks of the
-/// recording: publish every measurement on the bus, ingest per tick,
-/// digest the released rows.
+/// recording: build each tick's measurements in a vector, ingest them
+/// with now = tick, digest the released rows.
 ReferenceResult run_in_process(const sim::Recording& recording,
                                Tick ticks) {
   net::CentralStation station(kDevices);
-  net::MessageBus bus;
+  std::vector<Measurement> reports;
   RowDigest whole;
   ReferenceResult result;
+  const net::CentralStation::RowSink sink =
+      [&](const net::StationRow& row) {
+        digest_row(whole, row);
+        ++result.rows;
+      };
   const auto start = std::chrono::steady_clock::now();
   for (Tick t = 0; t < ticks; ++t) {
     for (net::DeviceId tx = 0; tx < kDevices; ++tx) {
       for (net::DeviceId rx = 0; rx < kDevices; ++rx) {
         if (tx == rx) continue;
-        bus.publish({tx, rx, t,
-                     recording.rssi(recording.stream_index(tx, rx), t)});
+        reports.push_back(
+            {tx, rx, t, recording.rssi(recording.stream_index(tx, rx), t)});
         ++result.reports;
       }
     }
-    for (const Tick ready : station.ingest(bus)) {
-      const auto row = station.take_row(ready);
-      digest_row(whole, *row);
-      ++result.rows;
-    }
+    station.ingest(reports, sink, t);
+    reports.clear();
   }
   result.seconds = seconds_since(start);
   result.digest = whole.value();
@@ -236,9 +240,9 @@ struct WireRun {
 };
 
 /// The single-lane baseline: decode a span of capture frames, push
-/// through the SPSC ring, drain in batches into the generic station
-/// ingest, digest released rows.  This is the pre-plane hot route the
-/// sweep's speedup is measured against.  `depth` (a null handle unless
+/// through the SPSC ring, drain in batches into the station, digest
+/// released rows.  This is the one-thread route the sweep's speedup is
+/// measured against.  `depth` (a null handle unless
 /// the caller registered one) samples ring occupancy before each drain.
 WireRun run_wire(std::span<const std::uint8_t> frames,
                  std::size_t ring_capacity, std::size_t batch_size,
@@ -250,17 +254,17 @@ WireRun run_wire(std::span<const std::uint8_t> frames,
   WireRun run;
   std::vector<Measurement> staged;
   std::vector<Measurement> batch(batch_size);
+  const net::CentralStation::RowSink sink =
+      [&](const net::StationRow& row) {
+        digest_row(digest, row);
+        ++run.rows;
+      };
 
   const auto drain = [&]() {
     depth.observe(static_cast<double>(queue.size()));
     const std::size_t n = queue.pop_batch(batch);
     if (n == 0) return false;
-    const std::span<const Measurement> drained(batch.data(), n);
-    for (const Tick ready : station.ingest(drained)) {
-      const auto row = station.take_row(ready);
-      digest_row(digest, *row);
-      ++run.rows;
-    }
+    station.ingest(std::span<const Measurement>(batch.data(), n), sink);
     return true;
   };
 
@@ -285,6 +289,7 @@ WireRun run_wire(std::span<const std::uint8_t> frames,
   decoder.finish();
   while (drain()) {
   }
+  station.ingest({}, sink, station.clock() + 1);  // end of stream
   run.seconds = seconds_since(start);
   run.digest = digest.value();
   run.decode = decoder.counters();
@@ -304,8 +309,8 @@ struct PlaneRun {
 };
 
 /// One plane sweep cell: replay the campus capture through an
-/// IngestPlane with `lanes` decoder lanes into `shards` ordered
-/// stations, digesting each shard's row stream.  Bit-identity gate:
+/// IngestPlane with `lanes` decoder lanes into `shards` stations,
+/// digesting each shard's row stream.  Bit-identity gate:
 /// every shard's digest equals the in-process reference digest over the
 /// same tick range (all offices replay identical values).
 PlaneRun run_plane(std::span<const std::uint8_t> bytes, std::size_t lanes,
@@ -324,6 +329,12 @@ PlaneRun run_plane(std::span<const std::uint8_t> bytes, std::size_t lanes,
   for (std::size_t s = 0; s < shards; ++s) stations.emplace_back(kDevices);
   std::vector<RowDigest> digests(shards);
   std::vector<std::uint64_t> rows(shards, 0);
+  const auto sink = [&digests, &rows](std::size_t shard) {
+    return [&digests, &rows, shard](const net::StationRow& row) {
+      digest_row(digests[shard], row);
+      ++rows[shard];
+    };
+  };
 
   PlaneRun run;
   run.lanes = lanes;
@@ -331,18 +342,10 @@ PlaneRun run_plane(std::span<const std::uint8_t> bytes, std::size_t lanes,
   const auto start = std::chrono::steady_clock::now();
   run.reports = plane.replay(
       bytes, [&](std::size_t shard, std::span<const Measurement> batch) {
-        stations[shard].ingest_ordered(
-            batch, [&digests, &rows, shard](const net::StationRow& row) {
-              digest_row(digests[shard], row);
-              ++rows[shard];
-            });
+        stations[shard].ingest(batch, sink(shard));
       });
   for (std::size_t s = 0; s < shards; ++s) {
-    stations[s].finish_ordered([&digests, &rows, s](
-                                   const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++rows[s];
-    });
+    stations[s].ingest({}, sink(s), stations[s].clock() + 1);
   }
   run.seconds = seconds_since(start);
 
@@ -393,7 +396,8 @@ net::WireCounters run_corrupt(std::span<const std::uint8_t> frames) {
         rest = rest.subspan(queue.push_some(rest));
         const std::size_t n = queue.pop_batch(batch);
         if (n != 0) {
-          station.ingest(std::span<const Measurement>(batch.data(), n));
+          station.ingest(std::span<const Measurement>(batch.data(), n),
+                         [](const net::StationRow&) {});
         }
       }
     }
@@ -577,8 +581,8 @@ int run(int argc, char** argv) {
   // section gated by tools/check_perf_regression.py --section
   // ingest_ratios against bench/BENCH_ingest.baseline.json.  Each plane
   // cell gets its own lane-count-stamped row against the single-lane
-  // baseline rate, so a regression in either decode fan-out or the
-  // ordered station path moves a gated number.
+  // baseline rate, so a regression in decode fan-out moves a gated
+  // number (both sides run the same station).
   const double single_rate =
       single.seconds > 0.0
           ? static_cast<double>(reports) / single.seconds

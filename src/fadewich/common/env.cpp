@@ -24,25 +24,27 @@ std::string lowered(const std::string& s) {
   return out;
 }
 
-std::size_t parse_count(const char* name, const std::string& value,
-                        std::size_t max_value) {
-  if (value.empty()) {
-    malformed(name, value, "a positive integer");
-  }
+/// Plain decimal digits that fit in 64 bits, else nullopt.
+std::optional<std::uint64_t> parse_decimal(const std::string& value) {
+  if (value.empty()) return std::nullopt;
   for (char c : value) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      malformed(name, value, "a positive integer");
-    }
+    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
   }
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0' || parsed == 0 ||
-      parsed > max_value) {
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return static_cast<std::uint64_t>(parsed);
+}
+
+std::size_t parse_count(const char* name, const std::string& value,
+                        std::size_t max_value) {
+  const std::optional<std::uint64_t> parsed = parse_decimal(value);
+  if (!parsed || *parsed == 0 || *parsed > max_value) {
     malformed(name, value,
               "a positive integer <= " + std::to_string(max_value));
   }
-  return static_cast<std::size_t>(parsed);
+  return static_cast<std::size_t>(*parsed);
 }
 
 }  // namespace
@@ -58,6 +60,14 @@ std::size_t env_count(const char* name, std::size_t fallback,
   const std::optional<std::string> value = env_raw(name);
   if (!value) return fallback;
   return parse_count(name, *value, max_value);
+}
+
+std::optional<std::uint64_t> env_u64(const char* name) {
+  const std::optional<std::string> value = env_raw(name);
+  if (!value) return std::nullopt;
+  const std::optional<std::uint64_t> parsed = parse_decimal(*value);
+  if (!parsed) malformed(name, *value, "a decimal integer in [0, 2^64)");
+  return parsed;
 }
 
 std::optional<bool> env_flag(const char* name) {

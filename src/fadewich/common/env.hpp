@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,11 @@ std::optional<std::string> env_raw(const char* name);
 /// decimal integer in [1, max_value] throws fadewich::Error.
 std::size_t env_count(const char* name, std::size_t fallback,
                       std::size_t max_value = 1u << 20);
+
+/// Unsigned 64-bit knob (e.g. a seed).  Unset -> nullopt.  Anything but
+/// plain decimal digits that fit in 64 bits — a sign, whitespace,
+/// trailing junk — throws fadewich::Error.
+std::optional<std::uint64_t> env_u64(const char* name);
 
 /// Strict boolean knob: "1"/"on"/"true" -> true, "0"/"off"/"false" ->
 /// false (case-insensitive), unset -> nullopt, anything else throws.

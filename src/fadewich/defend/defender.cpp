@@ -1,10 +1,9 @@
 #include "fadewich/defend/defender.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "fadewich/common/crc32.hpp"
+#include "fadewich/common/env.hpp"
 #include "fadewich/common/error.hpp"
 #include "fadewich/obs/obs.hpp"
 
@@ -37,18 +36,15 @@ struct DefendMetrics {
 
 DefendConfig DefendConfig::from_env() {
   DefendConfig config;
-  if (const char* v = std::getenv("FADEWICH_DEFEND")) {
-    config.enabled = std::string(v) != "0";
+  if (const auto enabled = common::env_flag("FADEWICH_DEFEND")) {
+    config.enabled = *enabled;
   }
-  if (const char* v = std::getenv("FADEWICH_DEFEND_KEYSEED")) {
-    config.key_seed = std::strtoull(v, nullptr, 10);
+  if (const auto seed = common::env_u64("FADEWICH_DEFEND_KEYSEED")) {
+    config.key_seed = *seed;
   }
-  if (const char* v = std::getenv("FADEWICH_DEFEND_RATE")) {
-    const double rate = std::strtod(v, nullptr);
-    if (rate > 0.0) {
-      config.rate_per_tick = rate;
-      config.rate_burst = rate * 16.0;
-    }
+  if (const auto rate = common::env_positive_real("FADEWICH_DEFEND_RATE")) {
+    config.rate_per_tick = *rate;
+    config.rate_burst = *rate * 16.0;
   }
   return config;
 }

@@ -64,10 +64,11 @@ struct DefendConfig {
   Tick rejoin_gap_ticks = 15;  // 3 s at 5 Hz
   Tick ramp_ticks = 100;       // 20 s at 5 Hz
 
-  /// Environment overrides:
-  ///   FADEWICH_DEFEND=0|1        enabled
-  ///   FADEWICH_DEFEND_KEYSEED=n  key_seed (decimal)
-  ///   FADEWICH_DEFEND_RATE=x     rate_per_tick (burst scales 16x)
+  /// Environment overrides (strict: a malformed value throws
+  /// fadewich::Error naming the variable):
+  ///   FADEWICH_DEFEND=0|1|off|on|false|true  enabled
+  ///   FADEWICH_DEFEND_KEYSEED=n  key_seed (decimal, fits in 64 bits)
+  ///   FADEWICH_DEFEND_RATE=x     rate_per_tick > 0 (burst scales 16x)
   static DefendConfig from_env();
 };
 

@@ -70,16 +70,14 @@ AttackReplayResult replay_under_attack(
   std::vector<double> last_row(station.stream_count(), 0.0);
   Tick expected = 0;
   std::uint64_t gaps = 0;
-  const auto emit = [&](Tick released) {
-    const auto taken = station.take_row(released);
-    if (!taken.has_value()) return;
-    while (expected < released) {  // eviction gap: forward-fill
+  const net::CentralStation::RowSink emit = [&](const net::StationRow& got) {
+    while (expected < got.tick) {  // eviction gap: forward-fill
       out.recording.append_samples(last_row);
       ++gaps;
       ++expected;
     }
     for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = taken->values[s];
+      row[rec_stream[s]] = got.values[s];
     }
     digest.update(row.data(), row.size() * sizeof(double));
     out.recording.append_samples(row);
@@ -104,7 +102,7 @@ AttackReplayResult replay_under_attack(
         net::to_measurements(*frame, batch);
       }
     }
-    for (const Tick released : station.ingest(batch, t)) emit(released);
+    station.ingest(batch, emit, t);
     batch.clear();
   };
 

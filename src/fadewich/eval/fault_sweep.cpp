@@ -7,7 +7,6 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/eval/paper_setup.hpp"
-#include "fadewich/net/message_bus.hpp"
 
 namespace fadewich::eval {
 
@@ -22,7 +21,7 @@ ReplayResult replay_through_station(const sim::Recording& original,
   net::CentralStation station(m, station_config);
   std::optional<net::FaultInjector> injector;
   if (faults.enabled()) injector.emplace(m, faults, seed);
-  net::MessageBus bus;
+  std::vector<net::Measurement> reports;
 
   // Station stream order -> recording stream order (both are the dense
   // tx-major layout today; the map keeps the replay correct if either
@@ -44,16 +43,14 @@ ReplayResult replay_through_station(const sim::Recording& original,
   std::vector<double> last_row(station.stream_count(), 0.0);
   Tick expected = 0;
   std::uint64_t gaps = 0;
-  const auto emit = [&](Tick released) {
-    const auto taken = station.take_row(released);
-    if (!taken.has_value()) return;
-    while (expected < released) {  // eviction gap: forward-fill
+  const net::CentralStation::RowSink emit = [&](const net::StationRow& got) {
+    while (expected < got.tick) {  // eviction gap: forward-fill
       out.recording.append_samples(last_row);
       ++gaps;
       ++expected;
     }
     for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = taken->values[s];
+      row[rec_stream[s]] = got.values[s];
     }
     out.recording.append_samples(row);
     last_row = row;
@@ -69,22 +66,24 @@ ReplayResult replay_through_station(const sim::Recording& original,
             tx, rx, t,
             original.rssi(original.stream_index(tx, rx), t)};
         if (injector) {
-          injector->offer(report, bus);
+          injector->offer(report, reports);
         } else {
-          bus.publish(report);
+          reports.push_back(report);
         }
       }
     }
-    if (injector) injector->advance(t, bus);
-    for (const Tick released : station.ingest(bus, t)) emit(released);
+    if (injector) injector->advance(t, reports);
+    station.ingest(reports, emit, t);
+    reports.clear();
   }
 
   // Drain delayed traffic and force the deadline on trailing ticks.
   const Tick horizon = ticks + station_config.deadline_ticks +
                        (injector ? faults.max_delay_ticks : 0) + 1;
   for (Tick t = ticks; t < horizon && expected < ticks; ++t) {
-    if (injector) injector->advance(t, bus);
-    for (const Tick released : station.ingest(bus, t)) emit(released);
+    if (injector) injector->advance(t, reports);
+    station.ingest(reports, emit, t);
+    reports.clear();
   }
   while (expected < ticks) {  // fully evicted tail, if any
     out.recording.append_samples(last_row);

@@ -14,9 +14,9 @@ IngestBridge::IngestBridge(BridgeConfig config) : config_(config) {
     throw Error("ingest bridge: devices must be >= 2");
   }
   if (config_.station.deadline_ticks != 0) {
-    // Deadline release imputes rows from wall-clock-ish 'now' hints the
-    // replay path does not carry; the bridge's gap fill covers losses.
-    throw Error("ingest bridge: station must be strict (deadline 0)");
+    // A positive deadline needs 'now' hints the replay path does not
+    // carry; the bridge's gap fill covers losses.
+    throw Error("ingest bridge: station deadline_ticks must be 0");
   }
   offices_.resize(config_.offices);
   for (Office& office : offices_) {
@@ -41,8 +41,6 @@ const IngestBridge::Office& IngestBridge::at(std::size_t office) const {
 
 void IngestBridge::append_row(Office& office, const net::StationRow& row) {
   const std::size_t width = streams();
-  if (row.tick < office.next_tick) return;  // stale (defensive; ordered
-                                            // emission is monotone)
   // Gap fill: repeat the previous row (zeros before any) for ticks the
   // capture never completed, so shard tick t always reads a row and the
   // fill depends only on the delivered stream, never on lane count.
@@ -65,6 +63,12 @@ void IngestBridge::append_row(Office& office, const net::StationRow& row) {
   ++office.next_tick;
 }
 
+net::CentralStation::RowSink IngestBridge::sink_for(Office& office) {
+  return [this, &office](const net::StationRow& row) {
+    append_row(office, row);
+  };
+}
+
 net::IngestPlane::Sink IngestBridge::sink() {
   return [this](std::size_t shard,
                 std::span<const net::Measurement> batch) {
@@ -75,14 +79,12 @@ net::IngestPlane::Sink IngestBridge::sink() {
 void IngestBridge::ingest(std::size_t office,
                           std::span<const net::Measurement> batch) {
   Office& o = at(office);
-  o.station->ingest_ordered(
-      batch, [this, &o](const net::StationRow& row) { append_row(o, row); });
+  o.station->ingest(batch, sink_for(o));
 }
 
 void IngestBridge::finish() {
   for (Office& o : offices_) {
-    o.station->finish_ordered(
-        [this, &o](const net::StationRow& row) { append_row(o, row); });
+    o.station->ingest({}, sink_for(o), o.station->clock() + 1);
   }
 }
 

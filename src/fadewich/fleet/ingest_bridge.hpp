@@ -2,8 +2,9 @@
 //
 // The ingest plane (net::IngestPlane) delivers each office's share of a
 // capture as a tick-ordered measurement stream; this bridge runs one
-// strict CentralStation per office over that stream (the allocation-free
-// ingest_ordered path), buffers the completed rows, and exposes them as
+// deadline-0 CentralStation per office over that stream (a row leaves as
+// soon as the office's next tick arrives), buffers the rows, and exposes
+// them as
 // an OfficeShard RowSource — so a shard steps over wire-decoded RSSI
 // instead of its synthetic driver, while the occupancy script keeps
 // supplying input events and ground-truth accounting.
@@ -39,8 +40,8 @@ struct BridgeConfig {
   /// Radios per office; streams per office = devices * (devices - 1),
   /// and bridge stream s is station stream s (stream_index order).
   std::size_t devices = 3;
-  /// Per-office assembly config.  Strict (deadline 0) keeps the
-  /// ordered fast path hot; max_pending only matters on corrupt input.
+  /// Per-office assembly config.  Must have deadline 0: replay carries
+  /// no `now`, and the bridge's gap fill covers losses.
   net::StationConfig station;
 };
 
@@ -60,7 +61,7 @@ class IngestBridge {
   /// Feed one office's next ordered batch (what sink() forwards to).
   void ingest(std::size_t office, std::span<const net::Measurement> batch);
 
-  /// Declare end-of-stream: flushes each office's final assembly row.
+  /// Declare end-of-stream: releases each office's final row.
   void finish();
 
   /// Ticks [0, result) have buffered rows for this office — the highest
@@ -93,6 +94,7 @@ class IngestBridge {
   Office& at(std::size_t office);
   const Office& at(std::size_t office) const;
   void append_row(Office& office, const net::StationRow& row);
+  net::CentralStation::RowSink sink_for(Office& office);
 
   BridgeConfig config_;
   std::vector<Office> offices_;

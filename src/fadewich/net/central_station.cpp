@@ -1,7 +1,8 @@
 #include "fadewich/net/central_station.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
+#include <limits>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/obs/obs.hpp"
@@ -110,311 +111,185 @@ std::pair<DeviceId, DeviceId> CentralStation::stream_pair(
   return {tx, rx};
 }
 
-void CentralStation::release(Tick tick, PendingRow&& row, bool complete) {
-  StationRow out;
-  out.tick = tick;
-  out.values = std::move(row.values);
-  out.valid = std::move(row.present);
-  if (complete) {
-    out.missing = 0;
-  } else {
-    ++health_.incomplete_releases;
-    StationMetrics::get().incomplete.inc();
-    out.missing = stream_count() - row.filled;
-    for (std::size_t s = 0; s < out.values.size(); ++s) {
-      if (!out.valid[s]) {
-        out.values[s] = last_value_[s];  // last-known-value imputation
-        ++health_.imputed_cells;
-        ++health_.imputed_per_stream[s];
-        ++lifetime_imputed_;
-      }
-    }
-    StationMetrics::get().imputed.add(static_cast<double>(out.missing));
-  }
-  for (std::size_t s = 0; s < out.values.size(); ++s) {
-    if (out.valid[s]) last_value_[s] = out.values[s];
-  }
-  if (tick > release_watermark_) release_watermark_ = tick;
-  released_.emplace(tick, std::move(out));
-}
-
-void CentralStation::evict_oldest() {
-  // Prefer dropping a row still under assembly; only a caller that never
-  // takes released rows forces released evictions.
-  if (!pending_.empty()) {
-    const Tick tick = pending_.begin()->first;
-    if (tick > release_watermark_) release_watermark_ = tick;
-    pending_.erase(pending_.begin());
-  } else {
-    released_.erase(released_.begin());
-  }
-  ++health_.evictions;
-  ++lifetime_evictions_;
-  StationMetrics::get().evictions.inc();
-}
-
-std::vector<Tick> CentralStation::ingest(MessageBus& bus,
-                                         std::optional<Tick> now) {
-  bus.drain_into(drain_scratch_);
-  return ingest(drain_scratch_, now);
-}
-
-std::vector<Tick> CentralStation::ingest(std::span<const Measurement> batch,
-                                         std::optional<Tick> now) {
-  // A live ordered-path assembly row is just a pending row the fast path
-  // kept out of the map; fold it back in so the two paths can interleave
-  // on one station without losing reports.
-  spill_assembly();
+void CentralStation::ingest(std::span<const Measurement> batch,
+                            const RowSink& on_row, std::optional<Tick> now) {
+  const std::size_t devices = device_count_;
+  // obs counters are flushed once per batch instead of bumped per
+  // measurement: at millions of reports/sec the per-inc() shard lookup
+  // is the dominant station cost.
+  std::uint64_t n_dup = 0, n_dup_rej = 0, n_late = 0, n_malformed = 0;
+  // The row the previous report went to, cached with raw pointers so a
+  // run of same-tick reports skips the ring lookup.  Only advance() and
+  // open() move rows, and both happen on a tick change, which refreshes
+  // the cache.
+  Tick row_tick = -1;
+  Row* row = nullptr;
+  double* values = nullptr;
+  std::uint8_t* valid = nullptr;
   for (const Measurement& m : batch) {
-    ++health_.reports;
-    StationMetrics::get().reports.inc();
     // Ingest runs on wire-decoded input: a CRC-valid frame can still
     // carry device ids or ticks no deployment produced.  Those reports
     // are counted malformed and dropped — stream_index() is a contract
     // for trusted callers, not a validator for hostile bytes.
-    if (m.tx >= device_count_ || m.rx >= device_count_ || m.tx == m.rx ||
-        m.tick < 0) {
-      ++health_.malformed;
-      StationMetrics::get().malformed.inc();
+    if (m.tx >= devices || m.rx >= devices || m.tx == m.rx || m.tick < 0 ||
+        m.tick == std::numeric_limits<Tick>::max()) {
+      ++n_malformed;
       continue;
     }
-    const std::size_t s = stream_index(m.tx, m.rx);
-    auto it = pending_.find(m.tick);
-    if (it == pending_.end()) {
-      // A report for a tick already released (or given up on) cannot
-      // amend the frozen row: count it late and move on.  The watermark
-      // gates strict mode too — a straggler for a released-and-taken
-      // tick used to re-open a pending row there that could never
-      // complete, stalling every newer tick at the monotone-release
-      // gate below.
-      const bool already_released = released_.count(m.tick) > 0;
-      const bool past_watermark = m.tick <= release_watermark_;
-      if (already_released || past_watermark) {
-        ++health_.late_reports;
-        StationMetrics::get().late.inc();
-        if (seen_ticks_[s].seen(static_cast<std::uint64_t>(m.tick))) {
-          // Not a straggling loss — a repeat of a report this stream
-          // already delivered (wire duplicate / injector duplicate).
-          ++health_.duplicates_rejected;
-          StationMetrics::get().duplicates_rejected.inc();
-        }
-        continue;
-      }
-      while (buffered_count() >= config_.max_pending) evict_oldest();
-      PendingRow fresh;
-      fresh.values.assign(stream_count(), 0.0);
-      fresh.present.assign(stream_count(), 0);
-      it = pending_.emplace(m.tick, std::move(fresh)).first;
-    }
-    PendingRow& row = it->second;
-    if (!row.present[s]) {
-      row.present[s] = 1;
-      ++row.filled;
-      row.values[s] = m.rssi_dbm;
-      seen_ticks_[s].accept(static_cast<std::uint64_t>(m.tick));
-    } else {
-      ++health_.duplicates;
-      StationMetrics::get().duplicates.inc();
-      if (row.values[s] == m.rssi_dbm) {
-        // Exact repeat: dropped without effect.
-        ++health_.duplicates_rejected;
-        StationMetrics::get().duplicates_rejected.inc();
-      } else {
-        row.values[s] = m.rssi_dbm;  // revised reports keep the latest
-      }
-    }
-  }
-
-  // Release complete rows, then everything past the deadline.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool complete = it->second.filled == stream_count();
-    const bool expired =
-        config_.deadline_ticks > 0 && now.has_value() &&
-        *now - it->first >= config_.deadline_ticks;
-    if (complete || expired) {
-      release(it->first, std::move(it->second), complete);
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Surface released rows in tick order: a released tick is ready only
-  // once nothing older is still under assembly, so downstream always
-  // consumes a monotone stream (the deadline bounds the holdback).
-  std::vector<Tick> ready;
-  ready.reserve(released_.size());
-  for (const auto& [tick, row] : released_) {
-    if (!pending_.empty() && pending_.begin()->first < tick) break;
-    ready.push_back(tick);
-  }
-  return ready;  // std::map iterates in ascending tick order
-}
-
-void CentralStation::spill_assembly() {
-  if (!assembly_live_) return;
-  assembly_live_ = false;
-  pending_.emplace(assembly_tick_, std::move(assembly_));
-  assembly_ = PendingRow{};
-}
-
-void CentralStation::emit_assembly(const RowSink& on_row) {
-  emit_row_.tick = assembly_tick_;
-  emit_row_.values.swap(assembly_.values);
-  emit_row_.valid.swap(assembly_.present);
-  if (assembly_.filled == stream_count()) {
-    emit_row_.missing = 0;
-    std::copy(emit_row_.values.begin(), emit_row_.values.end(),
-              last_value_.begin());
-  } else {
-    // Incomplete release under the ordered contract (the stream moved
-    // past this tick): same imputation taxonomy as release().
-    ++health_.incomplete_releases;
-    StationMetrics::get().incomplete.inc();
-    emit_row_.missing = stream_count() - assembly_.filled;
-    for (std::size_t s = 0; s < emit_row_.values.size(); ++s) {
-      if (!emit_row_.valid[s]) {
-        emit_row_.values[s] = last_value_[s];
-        ++health_.imputed_cells;
-        ++health_.imputed_per_stream[s];
-        ++lifetime_imputed_;
-      } else {
-        last_value_[s] = emit_row_.values[s];
-      }
-    }
-    StationMetrics::get().imputed.add(
-        static_cast<double>(emit_row_.missing));
-  }
-  if (assembly_tick_ > release_watermark_) {
-    release_watermark_ = assembly_tick_;
-  }
-  on_row(emit_row_);
-  // Reclaim the buffers: the sink contract says the row dies with the
-  // call, so the vectors come straight back for the next assembly.
-  assembly_.values.swap(emit_row_.values);
-  assembly_.present.swap(emit_row_.valid);
-  std::fill(assembly_.values.begin(), assembly_.values.end(), 0.0);
-  std::fill(assembly_.present.begin(), assembly_.present.end(),
-            std::uint8_t{0});
-  assembly_.filled = 0;
-  assembly_live_ = false;
-}
-
-std::size_t CentralStation::ingest_ordered(std::span<const Measurement> batch,
-                                           const RowSink& on_row,
-                                           std::optional<Tick> now) {
-  std::size_t emitted = 0;
-  std::size_t i = 0;
-  // The fast loop assumes strict mode and no carried-over generic state;
-  // anything else (and any mid-batch ordering violation below) drops to
-  // the generic path, which implements the full semantics.
-  if (config_.deadline_ticks == 0 && pending_.empty() &&
-      released_.empty()) {
-    const std::size_t streams = stream_count();
-    const std::size_t devices = device_count_;
-    // obs counters and the hot health_ totals are flushed once per batch
-    // instead of bumped per measurement — at millions of reports/sec the
-    // per-inc() shard lookup (and even a per-report member store) is the
-    // dominant station cost.
-    std::uint64_t n_reports = 0, n_dup = 0, n_dup_rej = 0, n_late = 0,
-                  n_malformed = 0;
-    for (; i < batch.size(); ++i) {
-      const Measurement& m = batch[i];
-      ++n_reports;
-      if (m.tx >= devices || m.rx >= devices || m.tx == m.rx ||
-          m.tick < 0) {
-        ++n_malformed;
-        ++health_.malformed;
-        continue;
-      }
-      const std::size_t s =
-          static_cast<std::size_t>(m.tx) * (devices - 1) +
-          (m.rx < m.tx ? m.rx : m.rx - 1);
-      if (assembly_live_ && m.tick != assembly_tick_) {
-        if (m.tick < assembly_tick_) {
-          // Tick regression: the ordering contract is broken; let the
-          // generic path handle this and everything after it.
-          break;
-        }
-        // A strictly newer tick finalises the assembly row, complete or
-        // not — emit_assembly imputes missing cells (see header doc).
-        emit_assembly(on_row);
-        ++emitted;
-      }
-      if (!assembly_live_) {
-        if (m.tick <= release_watermark_) {
-          // Straggler for an already-emitted (or given-up) tick: same
-          // late/duplicate taxonomy as the generic path.
+    const std::size_t s = static_cast<std::size_t>(m.tx) * (devices - 1) +
+                          (m.rx < m.tx ? m.rx : m.rx - 1);
+    if (m.tick != row_tick) {
+      // A report for tick t says delivery of every tick before t is over.
+      if (m.tick - 1 > clock_) advance(m.tick - 1, on_row);
+      std::int32_t index = find(m.tick);
+      if (index == kNoRow || rows_[index].released) {
+        if (m.tick <= clock_) {
+          // Its tick is over and its row is gone (released, evicted, or
+          // never opened): the report cannot amend anything.
           ++n_late;
-          ++health_.late_reports;
           if (seen_ticks_[s].seen(static_cast<std::uint64_t>(m.tick))) {
+            // Not a straggling loss — a repeat of a report this stream
+            // already delivered (wire duplicate / injector duplicate).
             ++n_dup_rej;
-            ++health_.duplicates_rejected;
           }
           continue;
         }
-        if (assembly_.values.size() != streams) {
-          assembly_.values.assign(streams, 0.0);
-          assembly_.present.assign(streams, 0);
-        }
-        assembly_tick_ = m.tick;
-        assembly_live_ = true;
+        index = open(m.tick, on_row);
       }
-      PendingRow& row = assembly_;
-      if (!row.present[s]) {
-        row.present[s] = 1;
-        ++row.filled;
-        row.values[s] = m.rssi_dbm;
-        seen_ticks_[s].accept(static_cast<std::uint64_t>(m.tick));
+      row_tick = m.tick;
+      row = &rows_[static_cast<std::size_t>(index)];
+      values = row->out.values.data();
+      valid = row->out.valid.data();
+    }
+    if (!valid[s]) {
+      valid[s] = 1;
+      ++row->filled;
+      values[s] = m.rssi_dbm;
+      seen_ticks_[s].accept(static_cast<std::uint64_t>(m.tick));
+    } else {
+      ++n_dup;
+      if (values[s] == m.rssi_dbm) {
+        ++n_dup_rej;  // exact repeat: dropped without effect
       } else {
-        ++n_dup;
-        ++health_.duplicates;
-        if (row.values[s] == m.rssi_dbm) {
-          ++n_dup_rej;
-          ++health_.duplicates_rejected;
-        } else {
-          row.values[s] = m.rssi_dbm;  // revised reports keep the latest
-        }
-      }
-    }
-    health_.reports += n_reports;
-    StationMetrics& mx = StationMetrics::get();
-    if (n_reports) mx.reports.add(n_reports);
-    if (n_dup) mx.duplicates.add(n_dup);
-    if (n_dup_rej) mx.duplicates_rejected.add(n_dup_rej);
-    if (n_late) mx.late.add(n_late);
-    if (n_malformed) mx.malformed.add(n_malformed);
-  }
-  if (i < batch.size()) {
-    // Generic remainder: spill the live row (ingest() does), run the
-    // full-semantics path, and forward whatever it releases.
-    const std::vector<Tick> ready = ingest(batch.subspan(i), now);
-    for (const Tick tick : ready) {
-      if (std::optional<StationRow> row = take_row(tick)) {
-        on_row(*row);
-        ++emitted;
+        values[s] = m.rssi_dbm;  // revised reports keep the latest
       }
     }
   }
-  return emitted;
+  if (now.has_value()) advance(std::max(clock_, *now), on_row);
+
+  health_.reports += batch.size();
+  health_.duplicates += n_dup;
+  health_.duplicates_rejected += n_dup_rej;
+  health_.late_reports += n_late;
+  health_.malformed += n_malformed;
+  StationMetrics& mx = StationMetrics::get();
+  if (!batch.empty()) mx.reports.add(static_cast<double>(batch.size()));
+  if (n_dup) mx.duplicates.add(static_cast<double>(n_dup));
+  if (n_dup_rej) mx.duplicates_rejected.add(static_cast<double>(n_dup_rej));
+  if (n_late) mx.late.add(static_cast<double>(n_late));
+  if (n_malformed) mx.malformed.add(static_cast<double>(n_malformed));
 }
 
-std::size_t CentralStation::finish_ordered(const RowSink& on_row) {
-  if (!assembly_live_) return 0;
-  if (assembly_.filled == stream_count()) {
-    emit_assembly(on_row);
-    return 1;
+void CentralStation::advance(Tick clock, const RowSink& on_row) {
+  clock_ = clock;
+  const std::size_t streams = stream_count();
+  for (Tick t = base_; t < end_ && t <= clock_; ++t) {
+    const std::int32_t index = slot(t);
+    if (index == kNoRow) continue;
+    Row& row = rows_[static_cast<std::size_t>(index)];
+    if (!row.released &&
+        (row.filled == streams || clock_ - t >= config_.deadline_ticks)) {
+      finalize(row);
+    }
   }
-  spill_assembly();  // strict mode holds it, as the generic path would
-  return 0;
+  pop_front(on_row);
 }
 
-std::optional<StationRow> CentralStation::take_row(Tick tick) {
-  const auto it = released_.find(tick);
-  if (it == released_.end()) return std::nullopt;
-  StationRow row = std::move(it->second);
-  released_.erase(it);
-  return row;
+void CentralStation::finalize(Row& row) {
+  StationRow& out = row.out;
+  row.released = true;
+  out.missing = stream_count() - row.filled;
+  if (out.missing == 0) {
+    std::copy(out.values.begin(), out.values.end(), last_value_.begin());
+    return;
+  }
+  ++health_.incomplete_releases;
+  StationMetrics::get().incomplete.inc();
+  StationMetrics::get().imputed.add(static_cast<double>(out.missing));
+  for (std::size_t s = 0; s < out.values.size(); ++s) {
+    if (out.valid[s]) {
+      last_value_[s] = out.values[s];
+    } else {
+      out.values[s] = last_value_[s];  // last-known-value imputation
+      ++health_.imputed_cells;
+      ++health_.imputed_per_stream[s];
+      ++lifetime_imputed_;
+    }
+  }
+}
+
+void CentralStation::pop_front(const RowSink& on_row) {
+  // Emit released rows from the front until the oldest held one.
+  while (base_ < end_) {
+    std::int32_t& front = slot(base_);
+    if (front != kNoRow) {
+      Row& row = rows_[static_cast<std::size_t>(front)];
+      if (!row.released) return;
+      on_row(row.out);
+      recycle(front);
+      front = kNoRow;
+    }
+    ++base_;
+  }
+}
+
+void CentralStation::recycle(std::int32_t index) {
+  Row& row = rows_[static_cast<std::size_t>(index)];
+  // Every unreported cell is imputed at release, so only the mask needs
+  // clearing for reuse.
+  std::fill(row.out.valid.begin(), row.out.valid.end(), std::uint8_t{0});
+  row.filled = 0;
+  row.released = false;
+  free_.push_back(index);
+}
+
+std::int32_t CentralStation::open(Tick tick, const RowSink& on_row) {
+  // The ring's span is capped: evict the oldest held rows until `tick`
+  // fits, emitting any released rows they were holding back.
+  while (base_ < end_ &&
+         static_cast<std::uint64_t>(tick - base_) >= config_.max_pending) {
+    std::int32_t& front = slot(base_);
+    recycle(front);
+    front = kNoRow;
+    ++base_;
+    ++health_.evictions;
+    ++lifetime_evictions_;
+    StationMetrics::get().evictions.inc();
+    pop_front(on_row);
+  }
+  if (base_ == end_) base_ = tick;
+  const auto span = static_cast<std::size_t>(tick - base_) + 1;
+  if (span > slots_.size()) {
+    std::vector<std::int32_t> grown(std::bit_ceil(span), kNoRow);
+    for (Tick t = base_; t < end_; ++t) {
+      grown[static_cast<std::size_t>(t) & (grown.size() - 1)] = slot(t);
+    }
+    slots_.swap(grown);
+  }
+  std::int32_t index;
+  if (free_.empty()) {
+    index = static_cast<std::int32_t>(rows_.size());
+    Row& row = rows_.emplace_back();
+    row.out.values.assign(stream_count(), 0.0);
+    row.out.valid.assign(stream_count(), 0);
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  rows_[static_cast<std::size_t>(index)].out.tick = tick;
+  slot(tick) = index;
+  end_ = tick + 1;
+  return index;
 }
 
 }  // namespace fadewich::net

@@ -1,37 +1,49 @@
-// The central station: assembles per-tick measurement reports from the
-// bus into the m x (m-1) synchronised stream rows MD reads.
+// The central station: assembles per-tick measurement reports into the
+// m x (m-1) synchronised stream rows MD reads.
 //
 // The paper assumes every stream reports every tick; this station does
-// not.  Rows are released either when complete or — when a release
-// deadline is configured — once the deadline passes, with missing cells
-// imputed from the stream's last released value and flagged stale.
-// Pending state is tick-indexed and capacity-bounded (oldest rows are
-// evicted, never silently retained forever), and every degradation is
+// not.  It keeps one clock — the newest tick whose delivery is over,
+// max(now, newest report tick - 1) — and one release rule:
+//
+//   * on every clock advance, each row with tick <= clock is released
+//     if it is complete, or if clock - tick >= deadline_ticks (missing
+//     cells are imputed from the stream's last released value and
+//     flagged stale);
+//   * a report for a tick <= clock whose row is no longer held is late;
+//   * rows leave in tick order: a released row never overtakes an older
+//     held one.
+//
+// With deadline 0 an incomplete row leaves as soon as its tick is over,
+// which is what a tick-ordered wire stream wants; a positive deadline
+// gives reordered or delayed reports that many ticks to arrive.  Rows
+// live in a tick-indexed ring spanning at most max_pending ticks whose
+// row storage is allocated on demand and recycled, so a tick-ordered
+// office holds one row and allocates nothing in steady state.  Release
+// depends only on the measurement sequence and the `now` values passed,
+// never on how the sequence is cut into batches.  Every degradation is
 // counted in a StationHealth block, so a lossy reporting path degrades
 // output quality instead of aborting the process.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "fadewich/net/measurement.hpp"
-#include "fadewich/net/message_bus.hpp"
 #include "fadewich/net/seq_window.hpp"
 #include "fadewich/obs/export.hpp"
 
 namespace fadewich::net {
 
 struct StationConfig {
-  /// Rows older than `now - deadline_ticks` are released incomplete when
-  /// ingest() is given the current tick.  0 keeps the strict mode: only
-  /// complete rows are ever released.
+  /// An incomplete row is released once the station clock is this many
+  /// ticks past it; 0 releases it as soon as its tick is over.
   Tick deadline_ticks = 0;
-  /// Upper bound on rows buffered (pending assembly plus released but not
-  /// yet taken).  The oldest row is evicted on overflow.  Requires >= 1.
+  /// Ring span: held rows cover at most this many consecutive ticks.  A
+  /// report that does not fit evicts the oldest held rows (counted in
+  /// StationHealth::evictions).  Requires >= 1.
   std::size_t max_pending = 1024;
 };
 
@@ -54,9 +66,9 @@ struct StationRow {
 struct StationHealth {
   std::uint64_t reports = 0;             // measurements ingested
   std::uint64_t duplicates = 0;          // repeat (tick, stream) reports
-  std::uint64_t late_reports = 0;        // tick already released/evicted
-  std::uint64_t evictions = 0;           // rows dropped by the capacity cap
-  std::uint64_t incomplete_releases = 0; // rows released past the deadline
+  std::uint64_t late_reports = 0;        // tick already over, row gone
+  std::uint64_t evictions = 0;           // rows dropped by the ring span
+  std::uint64_t incomplete_releases = 0; // rows released with imputation
   std::uint64_t imputed_cells = 0;       // sum of imputed_per_stream
   std::uint64_t duplicates_rejected = 0; // exact repeats dropped unapplied
   std::uint64_t malformed = 0;           // out-of-range device ids / ticks
@@ -72,6 +84,10 @@ obs::HealthBlock health_block(const StationHealth& health);
 
 class CentralStation {
  public:
+  /// A released-row consumer.  The row reference is valid only for the
+  /// duration of the call: the station recycles its storage.
+  using RowSink = std::function<void(const StationRow&)>;
+
   /// `device_count` radios; streams are all ordered (tx, rx) pairs in
   /// row-major order (matching rf::ChannelMatrix).  Requires >= 2.
   explicit CentralStation(std::size_t device_count,
@@ -88,73 +104,20 @@ class CentralStation {
   /// Inverse of stream_index: the (tx, rx) pair of a stream.
   std::pair<DeviceId, DeviceId> stream_pair(std::size_t stream) const;
 
-  /// Ingest all measurements pending on the bus.  Returns the ticks that
-  /// are released, not yet taken, and *in order* — a released tick is
-  /// reported only once no older tick is still under assembly, so
-  /// consumers always see a monotone tick stream.  Rows are fetched with
-  /// take_row().  A row is released when every stream reported, or — if
-  /// `now` is supplied and a deadline is configured — when
-  /// `now - tick >= deadline_ticks` (missing cells are imputed and
-  /// flagged).  Reports for already-released ticks are counted late and
-  /// discarded; they never abort.
-  std::vector<Tick> ingest(MessageBus& bus,
-                           std::optional<Tick> now = std::nullopt);
+  /// Apply `batch` in order and hand every released row to `on_row`, in
+  /// tick order.  `now`, when given, advances the clock after the batch
+  /// (and re-runs the release rule even if it does not advance).
+  /// End-of-stream is `ingest({}, on_row, clock() + 1)`.  Hostile input
+  /// is counted in health(), never thrown.
+  void ingest(std::span<const Measurement> batch, const RowSink& on_row,
+              std::optional<Tick> now = std::nullopt);
 
-  /// Batch form of ingest(): identical semantics over measurements the
-  /// caller already holds contiguously.  This is the hot route — the
-  /// wire-ingest path pops ring-buffer batches straight into it, and
-  /// the bus overload above forwards here after a copy-free drain.
-  std::vector<Tick> ingest(std::span<const Measurement> batch,
-                           std::optional<Tick> now = std::nullopt);
+  /// The newest tick whose delivery is over (-1 before any).
+  Tick clock() const { return clock_; }
 
-  /// Fetch and discard the released row for a tick.  Returns nullopt if
-  /// the tick is unknown, still incomplete, or already taken — callers
-  /// decide how to recover; the station never aborts on runtime input.
-  std::optional<StationRow> take_row(Tick tick);
-
-  /// A completed-row consumer for the ordered fast path.  The row
-  /// reference is valid only for the duration of the call — the station
-  /// reuses its storage for the next row.
-  using RowSink = std::function<void(const StationRow&)>;
-
-  /// Ordered-batch fast path: ingest a measurement stream whose ticks
-  /// are non-decreasing (the sharded ingest plane's per-shard contract),
-  /// handing each completed row to `on_row` the moment a newer tick
-  /// arrives.  This skips the per-measurement map lookups and per-row
-  /// allocations of the generic path: one reusable assembly row is
-  /// filled in place and emitted by callback, never staged in the
-  /// released map.  For clean tick-ordered input in strict mode it
-  /// delivers exactly the rows the generic path would (verified by
-  /// test), except that the final tick is held until the next call
-  /// advances past it or finish_ordered() declares end-of-stream —
-  /// emission timing depends only on the measurement sequence, never on
-  /// batch boundaries, which is what keeps sharded replay bit-identical
-  /// at any lane count.  One documented divergence: when a strictly
-  /// newer tick arrives while the assembly row is still incomplete (a
-  /// frame was lost upstream), the ordered contract says no more
-  /// reports for that row are coming, so it is released incomplete with
-  /// last-known-value imputation — the same taxonomy a one-tick
-  /// deadline applies — where the strict generic path would buffer it
-  /// until eviction pressure.  Holding it would stall every later row
-  /// behind the monotone-release gate for the rest of the capture.
-  /// Deadline-configured stations, carried-over pending/released state,
-  /// and tick regressions all fall back to the generic path (full
-  /// semantics, no ordering assumed).  Returns rows emitted.
-  std::size_t ingest_ordered(std::span<const Measurement> batch,
-                             const RowSink& on_row,
-                             std::optional<Tick> now = std::nullopt);
-
-  /// Declare end-of-stream for the ordered path: a live complete
-  /// assembly row is emitted; a live incomplete one is spilled to the
-  /// generic pending map (where strict mode holds it, exactly as the
-  /// generic path would).  Returns rows emitted (0 or 1).
-  std::size_t finish_ordered(const RowSink& on_row);
-
-  /// Rows currently buffered (pending assembly + released, untaken,
-  /// plus the ordered path's live assembly row).
-  std::size_t buffered_count() const {
-    return pending_.size() + released_.size() + (assembly_live_ ? 1 : 0);
-  }
+  /// Rows currently held in the ring (assembling, or released and
+  /// waiting behind an older held row).
+  std::size_t buffered_count() const { return rows_.size() - free_.size(); }
 
   const StationHealth& health() const { return health_; }
 
@@ -166,35 +129,40 @@ class CentralStation {
   std::uint64_t lifetime_imputed_cells() const { return lifetime_imputed_; }
 
  private:
-  struct PendingRow {
-    std::vector<double> values;
-    std::vector<std::uint8_t> present;
-    std::size_t filled = 0;
+  struct Row {
+    StationRow out;          // values / valid mask / tick, emitted as-is
+    std::size_t filled = 0;  // streams reported so far
+    bool released = false;   // final, waiting behind an older held row
   };
+  static constexpr std::int32_t kNoRow = -1;
 
-  void release(Tick tick, PendingRow&& row, bool complete);
-  void evict_oldest();
-  void spill_assembly();
-  void emit_assembly(const RowSink& on_row);
+  std::int32_t& slot(Tick tick) {
+    return slots_[static_cast<std::size_t>(tick) & (slots_.size() - 1)];
+  }
+  std::int32_t find(Tick tick) {
+    return tick >= base_ && tick < end_ ? slot(tick) : kNoRow;
+  }
+  std::int32_t open(Tick tick, const RowSink& on_row);
+  void advance(Tick clock, const RowSink& on_row);
+  void finalize(Row& row);
+  void pop_front(const RowSink& on_row);
+  void recycle(std::int32_t index);
 
   std::size_t device_count_;
   StationConfig config_;
-  std::map<Tick, PendingRow> pending_;   // tick-indexed assembly buffers
-  std::map<Tick, StationRow> released_;  // released, not yet taken
-  std::vector<Measurement> drain_scratch_;  // bus-drain reuse buffer
-  std::vector<double> last_value_;       // per-stream imputation source
+  // The ring: ticks [base_, end_) map to slots_[tick & (size - 1)], each
+  // a rows_ index or kNoRow; the front slot always holds a row.
+  std::vector<std::int32_t> slots_;
+  Tick base_ = 0;
+  Tick end_ = 0;
+  std::vector<Row> rows_;            // row storage, grown on demand
+  std::vector<std::int32_t> free_;   // rows_ indexes not in the ring
+  Tick clock_ = -1;
+  std::vector<double> last_value_;   // per-stream imputation source
   // One anti-replay window per stream over tick numbers: an exact repeat
-  // of an already-applied (tick, stream) report — a duplicated frame on
-  // the wire, or FaultInjector's duplicate taxon — is rejected before it
-  // touches (or re-opens) any row.
+  // of an already-applied (tick, stream) report that arrives late is
+  // told apart from a straggling loss.
   std::vector<SeqWindow> seen_ticks_;
-  // The ordered fast path's single in-place assembly row (live iff
-  // assembly_live_) and the reusable emission buffer it swaps through.
-  PendingRow assembly_;
-  StationRow emit_row_;
-  Tick assembly_tick_ = -1;
-  bool assembly_live_ = false;
-  Tick release_watermark_ = -1;  // highest tick released or evicted
   StationHealth health_;
   std::uint64_t lifetime_evictions_ = 0;
   std::uint64_t lifetime_imputed_ = 0;

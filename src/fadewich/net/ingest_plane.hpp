@@ -13,7 +13,7 @@
 // consumed before any of lane l+1's, which reconstructs wire order per
 // shard exactly — the same tick-order-merge contract simulate_week uses
 // — so the per-shard measurement stream is bit-identical at any lane
-// count, and a strict CentralStation fed by a shard releases identical
+// count, and a CentralStation fed by a shard releases identical
 // rows whether one lane decoded the capture or sixteen did.
 //
 // Scheduling is round-based and cooperative: every round is one

@@ -11,8 +11,8 @@
 // uncontended atomics.
 //
 // pop_batch() drains up to a caller-sized span per call, which is what
-// CentralStation::ingest(batch) wants: the station amortises its map
-// walks over the whole batch instead of paying them per report.
+// CentralStation::ingest(batch, sink) wants: the station amortises its
+// per-call costs over the whole batch instead of paying them per report.
 #pragma once
 
 #include <atomic>

@@ -49,22 +49,19 @@ std::vector<StationRow> LiveSensorNetwork::round(
       const Measurement report{tx, rx, tick_,
                                truth[channel_.stream_index(tx, rx)]};
       if (injector_) {
-        injector_->offer(report, bus_);
+        injector_->offer(report, reports_);
       } else {
-        bus_.publish(report);
+        reports_.push_back(report);
       }
     }
   }
-  if (injector_) injector_->advance(tick_, bus_);
+  if (injector_) injector_->advance(tick_, reports_);
 
-  const std::vector<Tick> ready = station_.ingest(bus_, tick_);
   std::vector<StationRow> rows;
-  rows.reserve(ready.size());
-  for (const Tick tick : ready) {
-    std::optional<StationRow> row = station_.take_row(tick);
-    FADEWICH_ENSURES(row.has_value());
-    rows.push_back(std::move(*row));
-  }
+  station_.ingest(
+      reports_, [&rows](const StationRow& row) { rows.push_back(row); },
+      tick_);
+  reports_.clear();
   if (!injector_) {
     // Reliable channel: the paper's assumption holds and every round
     // must assemble exactly its own tick.

@@ -1,6 +1,6 @@
 // Live sensor network: every tick is one TDMA beacon round — each device
 // broadcasts once and all others report the measured RSSI to the central
-// station through the message bus.  The channel truth comes from
+// station.  The channel truth comes from
 // rf::ChannelMatrix; body states are supplied by the caller each tick
 // (typically from sim::Person agents).
 //
@@ -19,7 +19,6 @@
 
 #include "fadewich/net/central_station.hpp"
 #include "fadewich/net/fault_injector.hpp"
-#include "fadewich/net/message_bus.hpp"
 #include "fadewich/net/stream_source.hpp"
 #include "fadewich/rf/channel.hpp"
 
@@ -60,7 +59,7 @@ class LiveSensorNetwork {
 
  private:
   rf::ChannelMatrix channel_;
-  MessageBus bus_;
+  std::vector<Measurement> reports_;  // this round's delivered reports
   CentralStation station_;
   std::optional<FaultInjector> injector_;
   double tick_hz_;

@@ -1,9 +1,10 @@
 #include "fadewich/obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
-#include <sstream>
 
+#include "fadewich/common/env.hpp"
 #include "fadewich/common/error.hpp"
 
 namespace fadewich::obs {
@@ -130,24 +131,30 @@ const HistogramSample* MetricsSnapshot::find_histogram(
 }
 
 std::vector<double> default_bucket_bounds() {
-  if (const char* env = std::getenv("FADEWICH_OBS_BUCKETS")) {
+  if (const std::optional<std::string> env =
+          common::env_raw("FADEWICH_OBS_BUCKETS")) {
+    // Strict like every other knob: a malformed ladder throws instead of
+    // silently reporting against buckets nobody asked for.
     std::vector<double> bounds;
-    std::istringstream in(env);
-    std::string token;
-    bool valid = true;
-    while (std::getline(in, token, ',')) {
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t comma = env->find(',', start);
+      const std::string token = env->substr(start, comma - start);
+      const bool plain =
+          !token.empty() &&
+          token.find_first_not_of("0123456789.eE+-") == std::string::npos;
       char* end = nullptr;
-      const double v = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0' ||
+      const double v = plain ? std::strtod(token.c_str(), &end) : 0.0;
+      if (!plain || *end != '\0' || !std::isfinite(v) ||
           (!bounds.empty() && v <= bounds.back())) {
-        valid = false;
-        break;
+        throw Error("FADEWICH_OBS_BUCKETS=\"" + *env +
+                    "\": expected comma-separated, strictly increasing "
+                    "finite numbers");
       }
       bounds.push_back(v);
+      if (comma == std::string::npos) return bounds;
+      start = comma + 1;
     }
-    if (valid && !bounds.empty()) return bounds;
-    // Malformed config degrades to the built-in ladder rather than
-    // aborting a deployment over a telemetry knob.
   }
   // 1-2.5-5 ladder, 1 µs .. 10 s: covers per-tick latencies through
   // checkpoint writes.

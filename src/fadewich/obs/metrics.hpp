@@ -224,8 +224,9 @@ struct MetricsSnapshot {
 };
 
 /// Default histogram bucket bounds: the FADEWICH_OBS_BUCKETS environment
-/// variable (comma-separated increasing doubles) when set and valid,
-/// otherwise a 1-2.5-5 latency ladder from 1 µs to 10 s.
+/// variable (comma-separated, strictly increasing finite numbers; a
+/// malformed value throws fadewich::Error) when set, otherwise a
+/// 1-2.5-5 latency ladder from 1 µs to 10 s.
 std::vector<double> default_bucket_bounds();
 
 class MetricsRegistry {

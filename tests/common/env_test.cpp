@@ -50,6 +50,20 @@ TEST_F(EnvTest, CountRejectsMalformedValuesLoudly) {
   }
 }
 
+TEST_F(EnvTest, U64ParsesPlainDecimalsIncludingZeroAndMax) {
+  unsetenv("FADEWICH_TEST_KNOB");
+  EXPECT_FALSE(env_u64("FADEWICH_TEST_KNOB").has_value());
+  set("0");
+  EXPECT_EQ(env_u64("FADEWICH_TEST_KNOB"), 0u);
+  set("18446744073709551615");
+  EXPECT_EQ(env_u64("FADEWICH_TEST_KNOB"), 18446744073709551615ull);
+  for (const char* bad : {"abc", "12x", "-1", "+4", " 4", "4.0", "inf",
+                          "0x10", "18446744073709551616"}) {
+    set(bad);
+    EXPECT_THROW(env_u64("FADEWICH_TEST_KNOB"), Error) << bad;
+  }
+}
+
 TEST_F(EnvTest, CountErrorNamesTheVariableAndValue) {
   set("two");
   try {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "fadewich/common/error.hpp"
 #include "fadewich/net/wire.hpp"
 
 namespace fadewich::defend {
@@ -234,6 +236,44 @@ TEST(DefenderTest, FromEnvReadsTheKnobs) {
   const DefendConfig defaults = DefendConfig::from_env();
   EXPECT_TRUE(defaults.enabled);
   EXPECT_EQ(defaults.key_seed, DefendConfig{}.key_seed);
+}
+
+TEST(DefenderTest, FromEnvFlagWordsDisableTheDefence) {
+  for (const char* off : {"false", "off", "OFF", "0"}) {
+    ::setenv("FADEWICH_DEFEND", off, 1);
+    EXPECT_FALSE(DefendConfig::from_env().enabled) << off;
+  }
+  ::setenv("FADEWICH_DEFEND", "on", 1);
+  EXPECT_TRUE(DefendConfig::from_env().enabled);
+  ::unsetenv("FADEWICH_DEFEND");
+}
+
+TEST(DefenderTest, FromEnvRejectsMalformedKnobs) {
+  const auto expect_throw = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    try {
+      (void)DefendConfig::from_env();
+      ADD_FAILURE() << name << "=" << value << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(name);
+  };
+  for (const char* bad : {"abc", "12x", "-1", "yes", "2"}) {
+    expect_throw("FADEWICH_DEFEND", bad);
+  }
+  for (const char* bad : {"abc", "12x", "-1", "+5", " 7", "1e3", "inf",
+                          "99999999999999999999"}) {
+    expect_throw("FADEWICH_DEFEND_KEYSEED", bad);
+  }
+  for (const char* bad : {"abc", "12x", "-1", "0", "inf", "nan"}) {
+    expect_throw("FADEWICH_DEFEND_RATE", bad);
+  }
+  // Seed 0 is a valid seed, not a parse failure.
+  ::setenv("FADEWICH_DEFEND_KEYSEED", "0", 1);
+  EXPECT_EQ(DefendConfig::from_env().key_seed, 0u);
+  ::unsetenv("FADEWICH_DEFEND_KEYSEED");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Sharded ingest plane: the per-shard stream must be bit-identical at
 // any lane count — including over adversarial captures whose corruption
-// lands on or around lane boundaries — and the ordered station fast
-// path must agree with the generic ingest path it replaces.
+// lands on or around lane boundaries — and a station fed a shard's
+// tick-ordered stream must release each tick once, in order, on the
+// next tick's arrival.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -272,7 +273,7 @@ TEST(IngestPlaneTest, ReplayIsReusableAndCountersAccumulate) {
   EXPECT_EQ(plane.counters().wire.frames_ok, 2u * 2u * 10u * kDevices);
 }
 
-// --- CentralStation ordered fast path --------------------------------
+// --- CentralStation over a shard's tick-ordered stream ---------------
 
 std::vector<Measurement> tick_ordered_stream(std::size_t devices,
                                              Tick ticks,
@@ -296,58 +297,15 @@ struct CollectedRows {
   CentralStation::RowSink sink() {
     return [this](const StationRow& row) { rows.push_back(row); };
   }
+  /// End of stream: the newest tick's delivery is over.
+  void finish(CentralStation& station) {
+    station.ingest({}, sink(), station.clock() + 1);
+  }
 };
 
-void expect_same_rows(const std::vector<StationRow>& got,
-                      const std::vector<StationRow>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].tick, want[i].tick) << i;
-    EXPECT_EQ(got[i].values, want[i].values) << i;
-    EXPECT_EQ(got[i].valid, want[i].valid) << i;
-    EXPECT_EQ(got[i].missing, want[i].missing) << i;
-  }
-}
-
-/// Generic-path reference: ingest in the same batch splits, draining
-/// released rows in order after every batch.
-std::vector<StationRow> generic_rows(
-    CentralStation& station, std::span<const Measurement> stream,
-    std::size_t batch_size) {
-  std::vector<StationRow> rows;
-  for (std::size_t at = 0; at < stream.size(); at += batch_size) {
-    const std::size_t n = std::min(batch_size, stream.size() - at);
-    for (const Tick tick : station.ingest(stream.subspan(at, n))) {
-      if (auto row = station.take_row(tick)) rows.push_back(*row);
-    }
-  }
-  return rows;
-}
-
-TEST(IngestOrderedTest, MatchesGenericPathOnCleanOrderedStream) {
-  const auto stream = tick_ordered_stream(kDevices, 30, 0xfeed);
-  CentralStation generic(kDevices);
-  const auto want = generic_rows(generic, stream, 17);
-
-  CentralStation fast(kDevices);
-  CollectedRows got;
-  std::size_t emitted = 0;
-  // Different batch split from the generic run on purpose: emission
-  // must not depend on batch boundaries.
-  for (std::size_t at = 0; at < stream.size(); at += 7) {
-    const std::size_t n = std::min<std::size_t>(7, stream.size() - at);
-    emitted += fast.ingest_ordered({stream.data() + at, n}, got.sink());
-  }
-  emitted += fast.finish_ordered(got.sink());
-  EXPECT_EQ(emitted, got.rows.size());
-  expect_same_rows(got.rows, want);
-  EXPECT_EQ(fast.health().reports, generic.health().reports);
-  EXPECT_EQ(fast.health().duplicates, generic.health().duplicates);
-  EXPECT_EQ(fast.health().late_reports, generic.health().late_reports);
-}
-
-TEST(IngestOrderedTest, DuplicatesAndRevisionsMatchGenericTaxonomy) {
-  auto stream = tick_ordered_stream(kDevices, 6, 0x1dea);
+TEST(IngestOrderedTest, DuplicatesAndRevisionsAreCountedNotReemitted) {
+  const auto clean = tick_ordered_stream(kDevices, 6, 0x1dea);
+  auto stream = clean;
   // Exact repeat inside tick 2, and a revised repeat inside tick 3.
   const std::size_t per_tick = kDevices * (kDevices - 1);
   stream.insert(stream.begin() + 3 * per_tick, stream[2 * per_tick]);
@@ -355,61 +313,69 @@ TEST(IngestOrderedTest, DuplicatesAndRevisionsMatchGenericTaxonomy) {
   revised.rssi_dbm -= 4.0;
   stream.insert(stream.begin() + 4 * per_tick, revised);
 
-  CentralStation generic(kDevices);
-  const auto want = generic_rows(generic, stream, stream.size());
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
-  expect_same_rows(got.rows, want);
-  EXPECT_EQ(fast.health().duplicates, generic.health().duplicates);
-  EXPECT_EQ(fast.health().duplicates_rejected,
-            generic.health().duplicates_rejected);
+  station.ingest(stream, got.sink());
+  got.finish(station);
+  CentralStation reference(kDevices);
+  CollectedRows want;
+  reference.ingest(clean, want.sink());
+  want.finish(reference);
+  ASSERT_EQ(got.rows.size(), 6u);
+  ASSERT_EQ(want.rows.size(), 6u);
+  EXPECT_EQ(station.health().duplicates, 2u);
+  EXPECT_EQ(station.health().duplicates_rejected, 1u);
+  // The exact repeat changes nothing; the revision wins its cell.
+  const std::size_t s = station.stream_index(revised.tx, revised.rx);
+  want.rows[3].values[s] = revised.rssi_dbm;
+  for (std::size_t i = 0; i < got.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].values, want.rows[i].values) << i;
+    EXPECT_TRUE(got.rows[i].complete()) << i;
+  }
 }
 
 TEST(IngestOrderedTest, LateStragglerAfterEmissionCountsLate) {
   const auto stream = tick_ordered_stream(kDevices, 4, 0xace);
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  ASSERT_EQ(got.rows.size(), 3u);  // tick 3 still live
-  // A straggler for emitted tick 0: late + rejected as an exact repeat.
+  station.ingest(stream, got.sink());
+  ASSERT_EQ(got.rows.size(), 3u);  // tick 3 still open
+  // A straggler for emitted tick 0: late + rejected as an exact repeat,
+  // and it neither releases nor disturbs the open tick-3 row.
   const Measurement straggler = stream[0];
-  // The regression drops to the generic path, which spills the complete
-  // tick-3 row and releases it immediately — same as generic semantics.
-  EXPECT_EQ(fast.ingest_ordered({&straggler, 1}, got.sink()), 1u);
-  EXPECT_EQ(fast.health().late_reports, 1u);
-  EXPECT_EQ(fast.health().duplicates_rejected, 1u);
-  EXPECT_EQ(fast.finish_ordered(got.sink()), 0u);
+  station.ingest({&straggler, 1}, got.sink());
+  EXPECT_EQ(got.rows.size(), 3u);
+  EXPECT_EQ(station.health().late_reports, 1u);
+  EXPECT_EQ(station.health().duplicates_rejected, 1u);
+  got.finish(station);
   ASSERT_EQ(got.rows.size(), 4u);
   EXPECT_EQ(got.rows.back().tick, 3);
+  EXPECT_TRUE(got.rows.back().complete());
 }
 
 TEST(IngestOrderedTest, LostFrameReleasesIncompleteOnTickAdvance) {
-  // Drop one report from tick 1: the ordered contract finalises the row
-  // when tick 2 arrives, imputing the missing cell from tick 0 — the
-  // strict generic path would buffer the row until eviction pressure,
-  // stalling every later tick (see ingest_ordered header doc).
+  // Drop one report from tick 1: the row is released when tick 2
+  // arrives, imputing the missing cell from tick 0, so no later tick is
+  // held hostage behind the lost frame.
   auto stream = tick_ordered_stream(kDevices, 4, 0x105e);
   const std::size_t per_tick = kDevices * (kDevices - 1);
   const Measurement dropped = stream[per_tick + 2];
   const double expect_imputed = stream[2].rssi_dbm;  // same stream, tick 0
   stream.erase(stream.begin() + per_tick + 2);
 
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
+  station.ingest(stream, got.sink());
+  got.finish(station);
   ASSERT_EQ(got.rows.size(), 4u);
   const StationRow& row = got.rows[1];
   EXPECT_EQ(row.tick, 1);
   EXPECT_EQ(row.missing, 1u);
-  const std::size_t s = fast.stream_index(dropped.tx, dropped.rx);
+  const std::size_t s = station.stream_index(dropped.tx, dropped.rx);
   EXPECT_FALSE(row.valid[s]);
   EXPECT_EQ(row.values[s], expect_imputed);
-  EXPECT_EQ(fast.health().incomplete_releases, 1u);
-  EXPECT_EQ(fast.health().imputed_cells, 1u);
-  // Ticks 2 and 3 were not held hostage behind the lost frame.
+  EXPECT_EQ(station.health().incomplete_releases, 1u);
+  EXPECT_EQ(station.health().imputed_cells, 1u);
   EXPECT_EQ(got.rows[2].missing, 0u);
   EXPECT_EQ(got.rows.back().tick, 3);
 }
@@ -420,70 +386,51 @@ TEST(IngestOrderedTest, MalformedReportsCountedNotApplied) {
   stream.push_back({9, 1, 1, -44.0});   // tx out of range
   stream.push_back({1, 1, 1, -44.0});   // tx == rx
   stream.push_back({0, 1, -5, -44.0});  // negative tick
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
-  EXPECT_EQ(fast.health().malformed, 3u);
+  station.ingest(stream, got.sink());
+  got.finish(station);
+  EXPECT_EQ(station.health().malformed, 3u);
   EXPECT_EQ(got.rows.size(), 2u);
 }
 
-TEST(IngestOrderedTest, TickRegressionFallsBackToGenericSemantics) {
+TEST(IngestOrderedTest, TickRegressionIsLateAndLaterTicksKeepFlowing) {
+  // A report for an already-released older tick is late; it switches
+  // nothing, and the ticks after it release as on a clean stream.
   const auto a = tick_ordered_stream(kDevices, 3, 0xb0b);
   std::vector<Measurement> stream(a.begin(), a.end());
-  // Regression: a repeat report for an already-emitted older tick.
-  stream.push_back({0, 1, 1, -60.0});
+  stream.push_back({0, 1, 1, -60.0});  // regression to released tick 1
   stream.push_back({0, 2, 5, -61.0});  // then jump forward
-
-  // Reference split puts the regression in its own batch: by then the
-  // generic path has released ticks 0-2, which is the state the ordered
-  // path's fallback reproduces (its emissions are already final).
-  CentralStation generic(kDevices);
-  const auto want = generic_rows(generic, stream, a.size());
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  expect_same_rows(got.rows, want);
-  EXPECT_EQ(fast.health().late_reports, generic.health().late_reports);
-  // The fallback parked state in the generic maps; the next ordered
-  // call must keep using the generic path without losing it.
-  EXPECT_GT(fast.buffered_count(), 0u);
+  station.ingest(stream, got.sink());
+  ASSERT_EQ(got.rows.size(), 3u);  // ticks 0-2; tick 5 is open
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got.rows[i].tick, static_cast<Tick>(i));
+    EXPECT_TRUE(got.rows[i].complete());
+  }
+  EXPECT_EQ(station.health().late_reports, 1u);
+  EXPECT_EQ(station.buffered_count(), 1u);
+  got.finish(station);
+  ASSERT_EQ(got.rows.size(), 4u);
+  EXPECT_EQ(got.rows[3].tick, 5);
+  EXPECT_EQ(got.rows[3].missing, kDevices * (kDevices - 1) - 1);
 }
 
 TEST(IngestOrderedTest, RowSplitAcrossCallsEmitsOnce) {
   const auto stream = tick_ordered_stream(kDevices, 2, 0xcafe);
   const std::size_t half = stream.size() / 2 - 1;
-  CentralStation fast(kDevices);
+  CentralStation station(kDevices);
   CollectedRows got;
-  fast.ingest_ordered({stream.data(), half}, got.sink());
+  station.ingest({stream.data(), half}, got.sink());
   const std::size_t early = got.rows.size();
-  fast.ingest_ordered({stream.data() + half, stream.size() - half},
-                      got.sink());
-  fast.finish_ordered(got.sink());
+  station.ingest({stream.data() + half, stream.size() - half}, got.sink());
+  got.finish(station);
   EXPECT_EQ(got.rows.size(), 2u);
   EXPECT_LE(early, 1u);
   std::map<Tick, int> seen;
   for (const StationRow& row : got.rows) ++seen[row.tick];
   for (const auto& [tick, n] : seen) EXPECT_EQ(n, 1) << tick;
-}
-
-TEST(IngestOrderedTest, InterleavesWithGenericIngestCoherently) {
-  const auto stream = tick_ordered_stream(kDevices, 4, 0xfade);
-  const std::size_t per_tick = kDevices * (kDevices - 1);
-  CentralStation station(kDevices);
-  CollectedRows got;
-  // Fast path leaves tick 1's row half-assembled...
-  station.ingest_ordered({stream.data(), per_tick + 3}, got.sink());
-  // ...then the generic path takes over mid-row and completes it.
-  const auto ready = station.ingest(
-      {stream.data() + per_tick + 3, stream.size() - per_tick - 3});
-  EXPECT_EQ(got.rows.size(), 1u);
-  ASSERT_EQ(ready.size(), 3u);
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    const auto row = station.take_row(ready[i]);
-    ASSERT_TRUE(row.has_value());
-    EXPECT_EQ(row->missing, 0u);
-  }
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ struct Harness {
     while (const DecodedFrame* frame = decoder.next()) {
       to_measurements(*frame, batch);
     }
-    station.ingest(batch, now);
+    station.ingest(batch, [](const StationRow&) {}, now);
     batch.clear();
   }
 };

@@ -3,6 +3,8 @@
 // semantics, and the type-mismatch guard.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -182,6 +184,29 @@ TEST_F(ObsMetricsTest, DefaultBucketBoundsAreStrictlyIncreasing) {
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
   }
+}
+
+TEST_F(ObsMetricsTest, BucketKnobParsesAValidLadder) {
+  ::setenv("FADEWICH_OBS_BUCKETS", "0.5,1,2.5e1", 1);
+  const std::vector<double> bounds = default_bucket_bounds();
+  ::unsetenv("FADEWICH_OBS_BUCKETS");
+  EXPECT_EQ(bounds, (std::vector<double>{0.5, 1.0, 25.0}));
+}
+
+TEST_F(ObsMetricsTest, BucketKnobRejectsMalformedLaddersLoudly) {
+  for (const char* bad : {"abc", "1,x", "1,,2", "1,2,", ",1", "2,1", "1,1",
+                          "1, 2", "inf", "1,nan", "0x10"}) {
+    ::setenv("FADEWICH_OBS_BUCKETS", bad, 1);
+    try {
+      (void)default_bucket_bounds();
+      ADD_FAILURE() << bad << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("FADEWICH_OBS_BUCKETS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("FADEWICH_OBS_BUCKETS");
 }
 
 }  // namespace

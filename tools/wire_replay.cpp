@@ -7,7 +7,7 @@
 // Modes:
 //   --max (default)  replay as fast as the plane decodes: N lanes fan
 //                    decoded reports through per-shard rings into one
-//                    ordered CentralStation per shard.
+//                    CentralStation per shard.
 //   --pace X         single-lane streaming replay throttled to X times
 //                    real time (X=1 reproduces the capture's own tick
 //                    rate), for feeding downstream consumers that expect
@@ -92,6 +92,43 @@ struct ReplayResult {
   std::uint64_t backpressure = 0;
   std::uint64_t rounds = 0;
   net::WireCounters wire;
+};
+
+/// One CentralStation per shard, each folding its released rows into its
+/// own digest and row count (the plane feeds shards concurrently).
+struct ShardStations {
+  std::vector<net::CentralStation> stations;
+  std::vector<RowDigest> digests;
+  std::vector<std::uint64_t> rows;
+
+  ShardStations(std::size_t shards, std::size_t devices)
+      : digests(shards), rows(shards, 0) {
+    stations.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) stations.emplace_back(devices);
+  }
+
+  net::CentralStation::RowSink sink(std::size_t shard) {
+    return [this, shard](const net::StationRow& row) {
+      digest_row(digests[shard], row);
+      ++rows[shard];
+    };
+  }
+
+  void ingest(std::size_t shard, std::span<const Measurement> batch) {
+    stations[shard].ingest(batch, sink(shard));
+  }
+
+  /// End of stream: release every shard's final row, then fold the
+  /// per-shard row streams into `result`.
+  void finish(ReplayResult& result) {
+    RowDigest combined;
+    for (std::size_t s = 0; s < stations.size(); ++s) {
+      stations[s].ingest({}, sink(s), stations[s].clock() + 1);
+      combined.mix(digests[s].value());
+      result.rows += rows[s];
+    }
+    result.digest = combined.value();
+  }
 };
 
 std::size_t parse_count_arg(const std::string& flag,
@@ -190,36 +227,17 @@ ReplayResult replay_max(const net::Capture& capture, const Options& opts) {
   config.shards = opts.shards;
   config.drain_batch = opts.batch;
   net::IngestPlane plane(config);
-
-  std::vector<net::CentralStation> stations;
-  stations.reserve(opts.shards);
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations.emplace_back(capture.header.device_count);
-  }
-  std::vector<RowDigest> digests(opts.shards);
+  ShardStations shards(opts.shards, capture.header.device_count);
   ReplayResult result;
 
   const auto start = std::chrono::steady_clock::now();
   result.reports = plane.replay(
       capture.frames,
-      [&](std::size_t shard, std::span<const Measurement> batch) {
-        stations[shard].ingest_ordered(
-            batch, [&, shard](const net::StationRow& row) {
-              digest_row(digests[shard], row);
-              ++result.rows;
-            });
+      [&shards](std::size_t shard, std::span<const Measurement> batch) {
+        shards.ingest(shard, batch);
       });
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations[s].finish_ordered([&, s](const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++result.rows;
-    });
-  }
+  shards.finish(result);
   result.seconds = seconds_since(start);
-
-  RowDigest combined;
-  for (const RowDigest& d : digests) combined.mix(d.value());
-  result.digest = combined.value();
   result.wire = plane.counters().wire;
   result.backpressure = plane.counters().ring_full_backpressure;
   result.rounds = plane.counters().rounds;
@@ -231,12 +249,7 @@ ReplayResult replay_max(const net::Capture& capture, const Options& opts) {
 /// wall clock after the first frame.
 ReplayResult replay_paced(const net::Capture& capture, const Options& opts,
                           double pace) {
-  std::vector<net::CentralStation> stations;
-  stations.reserve(opts.shards);
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations.emplace_back(capture.header.device_count);
-  }
-  std::vector<RowDigest> digests(opts.shards);
+  ShardStations shards(opts.shards, capture.header.device_count);
   std::vector<Measurement> scratch(net::kMaxFrameReports);
   ReplayResult result;
 
@@ -266,12 +279,7 @@ ReplayResult replay_paced(const net::Capture& capture, const Options& opts,
           scratch[i] = {view.header.tx, r.rx, view.header.tick,
                         static_cast<double>(r.rssi_dbm)};
         }
-        stations[shard].ingest_ordered(
-            {scratch.data(), view.count},
-            [&, shard](const net::StationRow& row) {
-              digest_row(digests[shard], row);
-              ++result.rows;
-            });
+        shards.ingest(shard, {scratch.data(), view.count});
         result.reports += view.count;
         pos += view.size;
         break;
@@ -284,17 +292,8 @@ ReplayResult replay_paced(const net::Capture& capture, const Options& opts,
         break;
     }
   }
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations[s].finish_ordered([&, s](const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++result.rows;
-    });
-  }
+  shards.finish(result);
   result.seconds = seconds_since(start);
-
-  RowDigest combined;
-  for (const RowDigest& d : digests) combined.mix(d.value());
-  result.digest = combined.value();
   return result;
 }
 
