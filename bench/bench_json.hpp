@@ -16,13 +16,16 @@
 #include <string>
 #include <thread>
 
+#include "fadewich/common/env.hpp"
 #include "fadewich/common/simd.hpp"
 
 namespace fadewich::bench {
 
+/// FADEWICH_BENCH_FAST, read strictly: "1"/"on"/"true" shrink the
+/// workloads, unset or "0"/"off"/"false" run them in full, anything else
+/// throws fadewich::Error.
 inline bool fast_mode() {
-  const char* fast = std::getenv("FADEWICH_BENCH_FAST");
-  return fast != nullptr && std::string(fast) == "1";
+  return common::env_flag("FADEWICH_BENCH_FAST").value_or(false);
 }
 
 inline std::string git_sha() {

@@ -3,7 +3,8 @@
 // every PR can check the "< 2% enabled, ~0% disabled" budget the obs
 // subsystem promises.  Writes BENCH_obs.json and — as scrape-format
 // samples for CI artifacts — scrape_sample.prom / scrape_sample.json
-// rendered from one unified SupervisedSystem::scrape() document.
+// rendered from one obs::scrape() document with the station and fault
+// health blocks folded in.
 //
 //   ./bench_obs [output.json [prom_sample [json_sample]]]
 //
@@ -24,7 +25,7 @@
 #include "fadewich/core/movement_detector.hpp"
 #include "fadewich/net/live_network.hpp"
 #include "fadewich/obs/obs.hpp"
-#include "fadewich/persist/supervised_system.hpp"
+#include "fadewich/persist/recovery.hpp"
 #include "fadewich/rf/channel.hpp"
 #include "fadewich/rf/floorplan.hpp"
 
@@ -157,8 +158,8 @@ std::vector<Primitive> bench_primitives() {
   return out;
 }
 
-/// Drive a small supervised pipeline over a faulty network and render
-/// its unified scrape in both formats — the CI artifact samples.
+/// Drive a checkpointed pipeline over a faulty network and render its
+/// scrape in both formats — the CI artifact samples.
 void write_scrape_samples(const std::string& prom_path,
                           const std::string& json_path) {
   obs::set_enabled(true);
@@ -174,25 +175,31 @@ void write_scrape_samples(const std::string& prom_path,
   const auto ring_dir =
       std::filesystem::temp_directory_path() / "fadewich_bench_obs_ring";
   std::filesystem::remove_all(ring_dir);
-  persist::SupervisedConfig config;
-  config.recovery.directory = ring_dir.string();
-  config.checkpoint_period_ticks = 500;
-  core::SystemConfig system;
-  system.md.calibration = 30.0;
-  persist::SupervisedSystem supervised(network.stream_count(),
-                                       plan.workstation_count(), system,
-                                       config);
+  persist::RecoveryConfig recovery_config;
+  recovery_config.directory = ring_dir.string();
+  persist::RecoveryManager recovery(recovery_config);
+  recovery.recover();  // a fresh ring: the office cold-starts
+  core::SystemConfig config;
+  config.md.calibration = 30.0;
+  core::FadewichSystem system(network.stream_count(),
+                              plan.workstation_count(), config);
 
   const std::int64_t ticks = fast_mode() ? 1'000 : 3'000;
   for (std::int64_t t = 0; t < ticks; ++t) {
     for (const net::StationRow& row : network.round({})) {
-      supervised.step(row.values, row.valid);
+      system.step(row.values, row.valid);
+    }
+    if ((t + 1) % 500 == 0) {
+      persist::Snapshot snapshot;
+      snapshot.system = system.export_state();
+      snapshot.station = network.station().health();
+      recovery.checkpoint(snapshot);
     }
   }
-  supervised.set_station_health(network.station().health());
-  const net::FaultInjector::Counters counters =
-      network.injector()->counters();
-  const obs::ScrapeReport report = supervised.scrape(&counters);
+  obs::ScrapeReport report = obs::scrape(obs::registry(), &obs::events());
+  report.health.push_back(net::health_block(network.station().health()));
+  report.health.push_back(
+      net::health_block(network.injector()->counters()));
 
   std::ofstream prom(prom_path);
   prom << report.to_prometheus();

@@ -4,10 +4,10 @@
 // collection), printing the paper's reference values next to ours.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "bench_json.hpp"
 #include "fadewich/eval/adversary.hpp"
 #include "fadewich/eval/md_evaluation.hpp"
 #include "fadewich/eval/paper_setup.hpp"
@@ -25,8 +25,7 @@ namespace fadewich::bench {
 /// (5 days x 8 h, 3 users, 9 sensors).
 inline eval::PaperExperiment make_experiment() {
   eval::PaperSetup setup;
-  const char* fast = std::getenv("FADEWICH_BENCH_FAST");
-  if (fast != nullptr && std::string(fast) == "1") {
+  if (fast_mode()) {
     setup.days = 2;
     setup.day.day_length = 2.0 * 3600.0;
   }

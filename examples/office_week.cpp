@@ -5,16 +5,22 @@
 // adversary analysis, and the usability bill.
 //
 // The final section runs the same week *online* under crash protection:
-// a SupervisedSystem trains for two days, checkpoints every two minutes,
-// has the plug pulled at the end of day 3, restarts from the snapshot
-// ring, and finishes the week — printing the recovery report and the
-// watchdog's health bill.
+// the pipeline trains for two days, checkpoints every two minutes, has
+// the plug pulled at the end of day 3, restarts from the snapshot ring,
+// and finishes the week — printing the recovery report and how many
+// deauthentications differ from an uninterrupted run once the restored
+// pipeline has re-warmed.
 //
-//   $ ./office_week [days] [sensors]
+//   $ ./office_week [days 1-30] [sensors 2-9]
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fadewich/eval/adversary.hpp"
 #include "fadewich/eval/crash_replay.hpp"
@@ -24,15 +30,45 @@
 #include "fadewich/eval/security.hpp"
 #include "fadewich/eval/usability.hpp"
 #include "fadewich/obs/obs.hpp"
-#include "fadewich/persist/supervised_system.hpp"
 
 using namespace fadewich;
 
+namespace {
+
+/// `text` as a plain decimal number in [lo, hi]; nullopt otherwise
+/// (signs, junk and out-of-range values included).
+std::optional<std::size_t> parse_arg(const char* text, std::size_t lo,
+                                     std::size_t hi) {
+  std::size_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+int usage() {
+  std::cerr << "usage: office_week [days 1-30] [sensors 2-9]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   eval::PaperSetup setup;
-  if (argc > 1) setup.days = std::stoul(argv[1]);
   std::size_t sensors = 9;
-  if (argc > 2) sensors = std::stoul(argv[2]);
+  if (argc > 3) return usage();
+  if (argc > 1) {
+    const std::optional<std::size_t> days = parse_arg(argv[1], 1, 30);
+    if (!days) return usage();
+    setup.days = *days;
+  }
+  if (argc > 2) {
+    const std::optional<std::size_t> n = parse_arg(argv[2], 2, 9);
+    if (!n) return usage();
+    sensors = *n;
+  }
 
   std::cout << "Simulating " << setup.days << " day(s), analysing with "
             << sensors << " sensors...\n";
@@ -117,9 +153,10 @@ int main(int argc, char** argv) {
 
   // --- Crash-safe online week ---------------------------------------
   // Everything above analysed the recording offline.  Now live the week
-  // online under the supervisor: train on the first two days, checkpoint
-  // every two minutes, lose power at the end of day 3, restart from the
-  // snapshot ring, and finish the week.
+  // online: train on the first two days, checkpoint every two minutes,
+  // lose power at the end of day 3, restart from the snapshot ring, and
+  // finish the week.  An uninterrupted run of the same week is the
+  // yardstick the restarted run is held to.
   if (setup.days >= 2) {
     eval::print_banner(std::cout, "Crash-safe online week");
     const sim::Recording& recording = experiment.recording;
@@ -127,136 +164,96 @@ int main(int argc, char** argv) {
                           "fadewich_office_week_ring";
     std::filesystem::remove_all(ring_dir);
 
-    core::SystemConfig system_config;
-    system_config.tick_hz = recording.rate().hz();
-    system_config.md = eval::default_md_config();
-    persist::SupervisedConfig supervised;
-    supervised.recovery.directory = ring_dir.string();
-    supervised.checkpoint_period_ticks = 600;  // 2 min at 5 Hz
-
     const std::size_t training_days =
         std::min<std::size_t>(2, setup.days - 1);
-    const Seconds training_duration =
-        recording.day_length() * static_cast<double>(training_days);
     const std::size_t crash_day =
         std::max<std::size_t>(training_days, std::min<std::size_t>(
                                                  3, setup.days - 1));
-    const Tick crash_tick = recording.rate().to_ticks_ceil(
+    eval::CrashReplayConfig crash;
+    crash.online.system.md = eval::default_md_config();
+    crash.online.training_duration =
+        recording.day_length() * static_cast<double>(training_days);
+    const Tick day_end = recording.rate().to_ticks_ceil(
         recording.day_length() * static_cast<double>(crash_day));
-    const auto inputs = eval::derive_inputs(recording, 3);
+    crash.crash_tick = day_end - 1;  // dies after the day's last tick
+    crash.checkpoint_period = 600;  // 2 min at 5 Hz
+    crash.recovery.directory = ring_dir.string();
 
-    std::size_t actions = 0, deauths = 0, recovered_steps = 0;
-    std::size_t next_input = 0;
-    const auto drive = [&](persist::SupervisedSystem& live, Tick begin,
-                           Tick end) {
-      std::vector<double> row(recording.stream_count());
-      for (Tick t = begin; t < end; ++t) {
-        const Seconds now = recording.rate().to_seconds(t);
-        if (live.training() && now >= training_duration) {
-          live.finish_training();
-        }
-        while (next_input < inputs.size() &&
-               inputs[next_input].time <= now) {
-          live.record_input(inputs[next_input].workstation,
-                            inputs[next_input].time);
-          ++next_input;
-        }
-        for (std::size_t s = 0; s < row.size(); ++s) {
-          row[s] = recording.rssi(s, t);
-        }
-        const auto result = live.step(row);
-        if (result.recovered) ++recovered_steps;
-        actions += result.inner.actions.size();
-        for (const core::Action& action : result.inner.actions) {
-          if (action.type == core::ActionType::kDeauthenticate) ++deauths;
-        }
-      }
-    };
-
-    Tick restored_tick = 0;
-    {
-      persist::SupervisedSystem live(recording.stream_count(), 3,
-                                     system_config, supervised);
-      drive(live, 0, crash_tick);
-      std::cout << "day 1-" << crash_day << ": " << actions
-                << " actions (" << deauths << " deauthentications), "
-                << live.checkpoints_written() << " checkpoints written\n";
-      std::cout << "-- power cut at the end of day " << crash_day
-                << " (tick " << crash_tick << ") --\n";
-      // `live` goes out of scope: the process state is gone; only the
-      // snapshot ring under ring_dir survives.
-    }
-    {
-      persist::SupervisedSystem reborn(recording.stream_count(), 3,
-                                       system_config, supervised);
-      const persist::RecoveryReport& report = reborn.recovery_report();
-      restored_tick = static_cast<Tick>(reborn.system().export_state().tick);
-      std::cout << "restart: "
-                << (reborn.degraded_start()
-                        ? "cold start (no usable snapshot)"
-                        : "recovered " + report.recovered_path)
-                << "\n  resumed at tick " << restored_tick << " ("
-                << crash_tick - restored_tick << " ticks lost), "
-                << report.rejected.size() << " snapshot(s) rejected\n";
-      // Re-deliver only inputs the snapshot has not yet consumed.
-      const Seconds restored_time =
-          restored_tick > 0
-              ? recording.rate().to_seconds(restored_tick - 1)
-              : -1.0;
-      next_input = 0;
-      while (next_input < inputs.size() &&
-             inputs[next_input].time <= restored_time) {
-        ++next_input;
-      }
-      drive(reborn, restored_tick, recording.tick_count());
-      const persist::HealthReport health = reborn.health();
-      std::cout << "week finished: " << actions << " actions total ("
-                << deauths << " deauthentications), " << recovered_steps
-                << " in-flight restarts\n";
-      for (const persist::ModuleHealth& module : health.modules) {
-        std::cout << "watchdog: module '" << module.name << "' "
-                  << (module.status == persist::ModuleStatus::kHealthy
-                          ? "healthy"
-                          : "degraded")
-                  << ", " << module.restarts << " restart(s)\n";
-      }
-
-      // End-of-day observability scrape: the same unified document a
-      // monitoring agent would pull, reduced to the operator's two
-      // questions — how fast are we locking screens, and what did the
-      // reporting path lose?
-      eval::print_banner(std::cout, "End-of-day scrape");
-      const obs::ScrapeReport scrape = reborn.scrape();
-      if (const obs::HistogramSample* latency =
-              scrape.metrics.find_histogram(
-                  "fadewich_ctl_deauth_latency_seconds")) {
-        std::cout << "deauth latency: p50="
-                  << eval::fmt(latency->percentile(0.50), 1) << " s, p95="
-                  << eval::fmt(latency->percentile(0.95), 1) << " s, p99="
-                  << eval::fmt(latency->percentile(0.99), 1) << " s ("
-                  << latency->count << " Rule-1 deauthentications)\n";
-      }
-      const auto counter = [&scrape](const char* name) -> std::uint64_t {
-        const obs::CounterSample* c = scrape.metrics.find_counter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      std::cout << "movement windows closed: "
-                << counter("fadewich_md_windows_closed_total")
-                << ", degraded ticks: "
-                << counter("fadewich_md_degraded_ticks_total") << "\n";
-      std::cout << "fault counters: duplicates="
-                << counter("fadewich_net_duplicates_total")
-                << " late=" << counter("fadewich_net_late_reports_total")
-                << " evictions=" << counter("fadewich_net_evictions_total")
-                << " imputed_cells="
-                << counter("fadewich_net_imputed_cells_total") << "\n";
-      std::cout << "health blocks in the scrape:";
-      for (const obs::HealthBlock& block : scrape.health) {
-        std::cout << " " << block.name;
-      }
-      std::cout << "\n";
-    }
+    const std::vector<eval::ActionRecord> reference =
+        eval::run_online(recording, 3, crash.online);
+    // The end-of-day scrape below covers the crashed week alone.
+    obs::registry().reset();
+    const eval::CrashReplayResult crashed =
+        eval::run_with_crash(recording, 3, crash);
     std::filesystem::remove_all(ring_dir);
+
+    // (actions, deauthentications) among `actions` before tick `end`.
+    const auto tally = [](const std::vector<eval::ActionRecord>& actions,
+                          Tick end) {
+      std::size_t count = 0, deauths = 0;
+      for (const eval::ActionRecord& action : actions) {
+        if (action.tick >= end) continue;
+        ++count;
+        if (action.type == core::ActionType::kDeauthenticate) ++deauths;
+      }
+      return std::make_pair(count, deauths);
+    };
+    const auto [day_actions, day_deauths] = tally(reference, day_end);
+    std::cout << "day 1-" << crash_day << ": " << day_actions
+              << " actions (" << day_deauths
+              << " deauthentications), a checkpoint every "
+              << crash.checkpoint_period << " ticks\n";
+    std::cout << "-- power cut at the end of day " << crash_day
+              << " (tick " << day_end << ") --\n";
+    std::cout << "restart: "
+              << (crashed.cold_start
+                      ? "cold start (no usable snapshot)"
+                      : "recovered " + crashed.report.recovered_path)
+              << "\n  resumed at tick " << crashed.restored_tick << " ("
+              << day_end - crashed.restored_tick
+              << " ticks lost), " << crashed.report.rejected.size()
+              << " snapshot(s) rejected\n";
+    const auto [week_actions, week_deauths] =
+        tally(crashed.actions, recording.tick_count());
+    std::cout << "week finished: " << week_actions << " actions total ("
+              << week_deauths << " deauthentications)\n";
+    const Seconds rewarm = eval::rewarm_bound(crash);
+    const eval::DivergenceResult divergence = eval::compare_actions(
+        reference, crashed, recording.rate(), rewarm);
+    std::cout << "divergent deauthentications after re-warm ("
+              << eval::fmt(rewarm, 1)
+              << " s): " << divergence.divergent_deauths_after_rewarm
+              << " (" << divergence.divergent_in_rewarm
+              << " action(s) shifted inside it)\n";
+
+    // End-of-day observability scrape: the same document a monitoring
+    // agent would pull, reduced to the operator's two questions — how
+    // fast are we locking screens, and what did the reporting path lose?
+    eval::print_banner(std::cout, "End-of-day scrape");
+    const obs::ScrapeReport scrape = obs::scrape();
+    if (const obs::HistogramSample* latency =
+            scrape.metrics.find_histogram(
+                "fadewich_ctl_deauth_latency_seconds")) {
+      std::cout << "deauth latency: p50="
+                << eval::fmt(latency->percentile(0.50), 1) << " s, p95="
+                << eval::fmt(latency->percentile(0.95), 1) << " s, p99="
+                << eval::fmt(latency->percentile(0.99), 1) << " s ("
+                << latency->count << " Rule-1 deauthentications)\n";
+    }
+    const auto counter = [&scrape](const char* name) -> std::uint64_t {
+      const obs::CounterSample* c = scrape.metrics.find_counter(name);
+      return c != nullptr ? c->value : 0;
+    };
+    std::cout << "movement windows closed: "
+              << counter("fadewich_md_windows_closed_total")
+              << ", degraded ticks: "
+              << counter("fadewich_md_degraded_ticks_total") << "\n";
+    std::cout << "fault counters: duplicates="
+              << counter("fadewich_net_duplicates_total")
+              << " late=" << counter("fadewich_net_late_reports_total")
+              << " evictions=" << counter("fadewich_net_evictions_total")
+              << " imputed_cells="
+              << counter("fadewich_net_imputed_cells_total") << "\n";
   }
   return 0;
 }

@@ -17,6 +17,23 @@ std::string office_label(std::size_t office) {
   return std::to_string(office);
 }
 
+/// Flatten supervisor health for the scrape: totals plus a per-office
+/// status code, restart count and last heartbeat.
+obs::HealthBlock health_block(const HealthReport& report) {
+  obs::HealthBlock block;
+  block.name = "supervisor";
+  block.add("modules", static_cast<double>(report.modules.size()));
+  block.add("total_restarts", static_cast<double>(report.total_restarts));
+  block.add("all_healthy", report.all_healthy() ? 1.0 : 0.0);
+  for (const ModuleHealth& m : report.modules) {
+    block.add(m.name + "_status", static_cast<double>(m.status));
+    block.add(m.name + "_restarts", static_cast<double>(m.restarts));
+    block.add(m.name + "_last_heartbeat",
+              static_cast<double>(m.last_heartbeat));
+  }
+  return block;
+}
+
 }  // namespace
 
 Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
@@ -28,6 +45,9 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
   }
   if (config_.checkpoint_period < 1) {
     throw Error("fleet config: checkpoint_period must be >= 1");
+  }
+  if (config_.max_restarts < 1) {
+    throw Error("fleet config: max_restarts must be >= 1");
   }
 
   auto& registry = obs::MetricsRegistry::global();
@@ -80,45 +100,34 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
   });
 
   if (!config_.snapshot_root.empty()) {
-    persist::SupervisorConfig sup = config_.supervisor;
-    const Tick quantum = config_.supervise_every > 0
-                             ? config_.supervise_every
-                             : static_cast<Tick>(config_.shard.block_ticks);
-    // A shard only heartbeats at block boundaries; a stall threshold
-    // tighter than two blocks would restart healthy shards.
-    sup.stall_ticks = std::max(sup.stall_ticks, 2 * quantum);
-    supervisor_ = std::make_unique<persist::Supervisor>(sup);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       persist::RecoveryConfig recovery;
       recovery.directory =
           config_.snapshot_root + "/office-" + std::to_string(i);
       shards_[i]->enable_persistence(std::move(recovery),
                                      config_.checkpoint_period);
-      OfficeShard* shard = shards_[i].get();
-      supervisor_->add_module(module_name(i), [this, shard] {
-        if (!shard->restore_from_ring()) shard->reset_to_cold();
-        shard->run_until(current_boundary_);
-        return !shard->faulted();
-      });
     }
+    watch_.resize(shards_.size());
   }
-}
-
-std::string Fleet::module_name(std::size_t office) const {
-  return "office-" + std::to_string(office);
 }
 
 void Fleet::supervise(Tick boundary, std::size_t* restarts) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const OfficeShard& shard = *shards_[i];
-    if (shard.faulted()) {
-      supervisor_->report_failure(module_name(i), boundary,
-                                  shard.fault_what());
-    } else {
-      supervisor_->heartbeat(module_name(i), boundary);
+    OfficeShard& shard = *shards_[i];
+    if (!shard.faulted()) continue;
+    Watch& watch = watch_[i];
+    watch.last_fault = shard.fault_what();
+    if (watch.failed) continue;
+    if (watch.restarts >= config_.max_restarts) {
+      watch.failed = true;
+      continue;
     }
+    ++watch.restarts;
+    ++*restarts;
+    if (!shard.restore_from_ring()) shard.reset_to_cold();
+    shard.run_until(boundary);
+    watch.failed = shard.faulted();
   }
-  *restarts += supervisor_->poll(boundary);
 }
 
 RunStats Fleet::run_week(Tick ticks) {
@@ -132,11 +141,10 @@ RunStats Fleet::run_week(Tick ticks) {
 
   while (cursor_ < target) {
     const Tick boundary = std::min(cursor_ + quantum, target);
-    current_boundary_ = boundary;
     pool_->parallel_for(0, shards_.size(), [&](std::size_t i) {
       shards_[i]->run_until(boundary);
     });
-    if (supervisor_ != nullptr) supervise(boundary, &restarts);
+    if (supervised()) supervise(boundary, &restarts);
     cursor_ = boundary;
   }
 
@@ -207,9 +215,21 @@ double Fleet::memory_bytes_per_office() const {
   return static_cast<double>(total) / static_cast<double>(shards_.size());
 }
 
-persist::HealthReport Fleet::supervisor_health() const {
-  if (supervisor_ == nullptr) return {};
-  return supervisor_->health();
+HealthReport Fleet::supervisor_health() const {
+  HealthReport report;
+  report.modules.reserve(watch_.size());
+  for (std::size_t i = 0; i < watch_.size(); ++i) {
+    const Watch& watch = watch_[i];
+    ModuleHealth m;
+    m.name = "office-" + std::to_string(i);
+    m.status = watch.failed ? ModuleStatus::kFailed : ModuleStatus::kHealthy;
+    m.last_heartbeat = cursor_;
+    m.restarts = watch.restarts;
+    m.last_fault = watch.last_fault;
+    report.modules.push_back(std::move(m));
+    report.total_restarts += watch.restarts;
+  }
+  return report;
 }
 
 obs::ScrapeReport Fleet::scrape() const {
@@ -234,9 +254,7 @@ obs::ScrapeReport Fleet::scrape() const {
             latency != nullptr ? latency->percentile(0.99) : 0.0);
   report.health.push_back(std::move(fleet));
 
-  if (supervisor_ != nullptr) {
-    report.health.push_back(persist::health_block(supervisor_->health()));
-  }
+  if (supervised()) report.health.push_back(health_block(supervisor_health()));
   return report;
 }
 

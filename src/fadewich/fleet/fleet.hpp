@@ -4,14 +4,15 @@
 //
 // Execution model.  run_week() advances every shard to a common tick
 // boundary per block via parallel_for, then — serially, on the fleet
-// thread — heartbeats healthy shards, reports faulted ones, and polls
-// the supervisor (Supervisor is not thread-safe; supervision cost is
-// O(offices) per block via the name index).  A shard's restart callback
-// restores its newest snapshot (or cold-starts as a last resort) and
-// replays forward to the current boundary, which the stateless per-tick
-// driver makes exact: recovery of one shard cannot perturb any neighbor,
+// thread — walks the offices in index order and restarts each faulted
+// one: restore its newest snapshot (or cold-start as a last resort) and
+// replay forward to the boundary.  The stateless per-tick driver makes
+// the replay exact: recovery of one shard cannot perturb any neighbor,
 // and the recovered shard's own outputs past the snapshot are the same
-// bytes it would have produced without the crash.
+// bytes it would have produced without the crash.  Restarts are counted
+// per office and bounded by max_restarts; an office past the bound is
+// retired as failed and left parked at its failing tick, so a crash loop
+// degrades loudly instead of spinning forever.
 //
 // Determinism.  Shard i's seed is task_seed(fleet seed, i), so its
 // stream is a function of (fleet seed, i) alone — independent of fleet
@@ -27,7 +28,6 @@
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/fleet/office_shard.hpp"
 #include "fadewich/obs/export.hpp"
-#include "fadewich/persist/supervisor.hpp"
 
 namespace fadewich::fleet {
 
@@ -45,7 +45,7 @@ struct FleetConfig {
   /// run unsupervised; recovery is exercised on small fleets).
   std::string snapshot_root;
   Tick checkpoint_period = 500;  // ticks between shard checkpoints
-  persist::SupervisorConfig supervisor;  // stall_ticks raised to 2 blocks
+  std::size_t max_restarts = 5;  // per office, >= 1
 
   /// Mint per-office labeled series (fadewich_fleet_office_*{office="i"})
   /// while the fleet is at or under the cardinality cap; above it only
@@ -63,23 +63,49 @@ struct RunStats {
   std::size_t restarts = 0;    // supervisor restarts during the run
 };
 
+/// Supervision state of one office, as the scrape reports it.  The enum
+/// values are the exported status codes; 1 ("restarting") is never seen
+/// because every fault is handled in the pass that observes it.
+enum class ModuleStatus { kHealthy = 0, kFailed = 2 };
+
+struct ModuleHealth {
+  std::string name;  // "office-<index>"
+  ModuleStatus status = ModuleStatus::kHealthy;
+  Tick last_heartbeat = 0;  // last boundary the supervisor checked
+  std::uint64_t restarts = 0;
+  std::string last_fault;  // what() of the most recent fault, if any
+};
+
+struct HealthReport {
+  std::vector<ModuleHealth> modules;
+  std::uint64_t total_restarts = 0;
+
+  bool all_healthy() const {
+    for (const ModuleHealth& m : modules) {
+      if (m.status != ModuleStatus::kHealthy) return false;
+    }
+    return true;
+  }
+};
+
 class Fleet {
  public:
   /// Builds all shards (in parallel on `pool`) and, when snapshot_root
-  /// is set, wires each one into the fleet supervisor.  `pool` defaults
-  /// to the process-wide pool; the fleet does not own it.
+  /// is set, gives each one a snapshot ring and puts it under
+  /// supervision.  `pool` defaults to the process-wide pool; the fleet
+  /// does not own it.
   explicit Fleet(FleetConfig config, exec::ThreadPool* pool = nullptr);
 
   std::size_t offices() const { return shards_.size(); }
   Tick tick() const { return cursor_; }
-  bool supervised() const { return supervisor_ != nullptr; }
+  bool supervised() const { return !watch_.empty(); }
 
   /// Advance every office by `ticks` in lockstep blocks.  Returns the
   /// run's throughput stats (also retained for scrape()).
   RunStats run_week(Tick ticks);
 
   /// Arm a one-shot crash in office `office` at absolute tick `tick`
-  /// (must be ahead of the current cursor).  The fleet supervisor
+  /// (must be ahead of the current cursor).  A supervised fleet
   /// recovers it on the next supervision pass.
   void inject_crash(std::size_t office, Tick tick);
 
@@ -98,7 +124,7 @@ class Fleet {
   double memory_bytes_per_office() const;
 
   /// Supervisor view; empty report when the fleet is unsupervised.
-  persist::HealthReport supervisor_health() const;
+  HealthReport supervisor_health() const;
 
   /// One merged scrape: the global metrics snapshot (fleet aggregates
   /// plus per-office labeled series when minted), a "fleet" HealthBlock
@@ -107,16 +133,23 @@ class Fleet {
   obs::ScrapeReport scrape() const;
 
  private:
-  std::string module_name(std::size_t office) const;
   void supervise(Tick boundary, std::size_t* restarts);
+
+  /// Per-office supervision state; empty when unsupervised.  Every
+  /// office is checked at every boundary, so its last heartbeat is the
+  /// cursor.
+  struct Watch {
+    std::uint64_t restarts = 0;
+    bool failed = false;     // budget spent or a restart re-faulted
+    std::string last_fault;
+  };
 
   FleetConfig config_;
   exec::ThreadPool* pool_;
   std::vector<std::unique_ptr<OfficeShard>> shards_;
-  std::unique_ptr<persist::Supervisor> supervisor_;
+  std::vector<Watch> watch_;
 
-  Tick cursor_ = 0;           // common boundary all healthy shards reached
-  Tick current_boundary_ = 0; // restart callbacks replay up to here
+  Tick cursor_ = 0;  // common boundary all healthy shards reached
   RunStats last_run_;
 
   obs::Histogram fleet_latency_;  // shared by all shards: fleet-wide p99

@@ -1,10 +1,10 @@
 #include "fadewich/obs/event_log.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
+#include "fadewich/common/env.hpp"
 #include "fadewich/common/error.hpp"
 
 namespace fadewich::obs {
@@ -135,9 +135,13 @@ EventLog& EventLog::global() {
   static std::ofstream sink;
   static EventLog log;
   static const bool wired = [] {
-    if (const char* path = std::getenv("FADEWICH_OBS_SINK")) {
-      sink.open(path, std::ios::app);
-      if (sink) log.set_sink(&sink);
+    if (const auto path = common::env_raw("FADEWICH_OBS_SINK")) {
+      sink.open(*path, std::ios::app);
+      if (!sink) {
+        throw Error("FADEWICH_OBS_SINK=\"" + *path +
+                    "\": cannot open the file for appending");
+      }
+      log.set_sink(&sink);
     }
     return true;
   }();

@@ -99,7 +99,8 @@ class EventLog {
   void clear();
 
   /// Process-wide log the built-in instrumentation writes to.  On first
-  /// use, FADEWICH_OBS_SINK=<path> attaches an append-mode file sink.
+  /// use, FADEWICH_OBS_SINK=<path> attaches an append-mode file sink; a
+  /// path that cannot be opened throws fadewich::Error (empty = unset).
   static EventLog& global();
 
  private:

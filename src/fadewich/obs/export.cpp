@@ -218,22 +218,11 @@ std::string ScrapeReport::to_json() const {
     if (i > 0) out += ",";
     out += to_json_line(events[i]);
   }
-  out += "],\"spans\":[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    if (i > 0) out += ",";
-    out += "{\"id\":\"" + std::to_string(s.id) + "\",\"parent\":\"" +
-           std::to_string(s.parent) + "\",\"name\":\"";
-    detail::append_json_escaped(out, s.name);
-    out += "\",\"depth\":" + std::to_string(s.depth) +
-           ",\"wall_ms\":" + fmt_number(s.wall_ms) + "}";
-  }
   out += "]}";
   return out;
 }
 
-ScrapeReport scrape(const MetricsRegistry& registry, const EventLog* events,
-                    const Tracer* tracer) {
+ScrapeReport scrape(const MetricsRegistry& registry, const EventLog* events) {
   ScrapeReport report;
   report.metrics = registry.snapshot();
   // The kernel dispatch is resolved once per process, outside any
@@ -246,7 +235,6 @@ ScrapeReport scrape(const MetricsRegistry& registry, const EventLog* events,
   isa.value = static_cast<double>(simd::active_isa());
   report.metrics.gauges.push_back(std::move(isa));
   if (events != nullptr) report.events = events->recent();
-  if (tracer != nullptr) report.spans = tracer->finished();
   return report;
 }
 

@@ -1,6 +1,6 @@
-// Umbrella header for the observability subsystem: metrics, tracing,
-// structured events, exporters, and the process-wide instances the
-// built-in instrumentation writes to.
+// Umbrella header for the observability subsystem: metrics, structured
+// events, exporters, and the process-wide instances the built-in
+// instrumentation writes to.
 //
 // Quick tour (see DESIGN.md §12 for the full model):
 //
@@ -8,12 +8,9 @@
 //       "fadewich_core_steps_total", "pipeline ticks processed");
 //   ticks.inc();                              // lock-free, sharded
 //
-//   auto span = obs::tracer().scope("evaluate_security");
-//
 //   obs::events().warn("station", "row evicted", tick);
 //
-//   obs::ScrapeReport report = obs::scrape(
-//       obs::registry(), &obs::events(), &obs::tracer());
+//   obs::ScrapeReport report = obs::scrape(obs::registry(), &obs::events());
 //   std::cout << report.to_prometheus();      // or report.to_json()
 //
 // Environment: FADEWICH_OBS=0 disables at runtime, FADEWICH_OBS_SINK
@@ -26,15 +23,13 @@
 #include "fadewich/obs/export.hpp"
 #include "fadewich/obs/metrics.hpp"
 #include "fadewich/obs/toggle.hpp"
-#include "fadewich/obs/trace.hpp"
 
 namespace fadewich::obs {
 
-/// Process-wide registry, event log, and tracer.  Instrumented modules
+/// Process-wide registry and event log.  Instrumented modules
 /// fetch their handles from these on first use; tests may reset() the
 /// registry or clear() the log between cases.
 inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
 inline EventLog& events() { return EventLog::global(); }
-inline Tracer& tracer() { return Tracer::global(); }
 
 }  // namespace fadewich::obs

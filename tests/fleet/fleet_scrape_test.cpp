@@ -6,6 +6,8 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/obs/export.hpp"
@@ -106,6 +108,84 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
   }
   EXPECT_TRUE(saw_modules);
   fs::remove_all(root);
+}
+
+/// The "supervisor" block a 5-office fleet should export after 2000
+/// ticks: totals first, then status, restarts and heartbeat per office.
+std::vector<std::pair<std::string, double>> supervisor_fields(
+    const std::vector<double>& status, const std::vector<double>& restarts) {
+  double total = 0.0;
+  bool healthy = true;
+  for (std::size_t i = 0; i < status.size(); ++i) {
+    total += restarts[i];
+    healthy = healthy && status[i] == 0.0;
+  }
+  std::vector<std::pair<std::string, double>> fields = {
+      {"modules", 5.0}, {"total_restarts", total},
+      {"all_healthy", healthy ? 1.0 : 0.0}};
+  for (std::size_t i = 0; i < status.size(); ++i) {
+    const std::string office = "office-" + std::to_string(i);
+    fields.emplace_back(office + "_status", status[i]);
+    fields.emplace_back(office + "_restarts", restarts[i]);
+    fields.emplace_back(office + "_last_heartbeat", 2000.0);
+  }
+  return fields;
+}
+
+class SupervisorBlock : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = (fs::temp_directory_path() /
+             ("fadewich_supervisor_block_" +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name())))
+                .string();
+    fs::remove_all(root_);
+  }
+  void TearDown() override { fs::remove_all(root_); }
+
+  FleetConfig five_offices() const {
+    FleetConfig config;
+    config.offices = 5;
+    config.shard.system = default_shard_system();
+    config.snapshot_root = root_;
+    config.checkpoint_period = 300;
+    config.per_office_series = false;
+    return config;
+  }
+
+  static std::vector<std::pair<std::string, double>> block(
+      const Fleet& fleet) {
+    const obs::ScrapeReport report = fleet.scrape();
+    const obs::HealthBlock* sup = report.find_block("supervisor");
+    if (sup == nullptr) return {};
+    return sup->fields;
+  }
+
+  std::string root_;
+};
+
+TEST_F(SupervisorBlock, OneRecoveredCrash) {
+  exec::ThreadPool pool(2);
+  Fleet fleet(five_offices(), &pool);
+  fleet.inject_crash(2, 1100);
+  fleet.run_week(2000);
+  EXPECT_EQ(block(fleet), supervisor_fields({0, 0, 0, 0, 0},
+                                            {0, 0, 1, 0, 0}));
+}
+
+TEST_F(SupervisorBlock, ExhaustedRestartBudget) {
+  FleetConfig config = five_offices();
+  config.max_restarts = 1;
+  exec::ThreadPool pool(2);
+  Fleet fleet(config, &pool);
+  fleet.inject_crash(2, 800);
+  fleet.run_week(1000);
+  fleet.inject_crash(2, 1600);
+  fleet.run_week(1000);
+  EXPECT_EQ(block(fleet), supervisor_fields({0, 0, 2, 0, 0},
+                                            {0, 0, 1, 0, 0}));
 }
 
 TEST(FleetScrape, RunStatsReportThroughput) {

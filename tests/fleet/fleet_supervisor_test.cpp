@@ -1,5 +1,7 @@
 // Supervised fleet recovery: killing one shard mid-week must recover it
 // through the fleet supervisor without perturbing any neighbor's output.
+// The SupervisorTest cases pin the watchdog rules themselves: config
+// validation, per-office restart accounting, and the restart budget.
 #include "fadewich/fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -65,7 +67,7 @@ TEST_F(FleetSupervisorTest, CrashedShardRecoversWithoutPerturbingNeighbors) {
   EXPECT_FALSE(crashed.shard(kVictim).faulted());
   EXPECT_EQ(crashed.shard(kVictim).tick(), kWeek);
 
-  const persist::HealthReport health = crashed.supervisor_health();
+  const HealthReport health = crashed.supervisor_health();
   ASSERT_EQ(health.modules.size(), kOffices);
   EXPECT_TRUE(health.all_healthy());
   EXPECT_EQ(health.total_restarts, 1u);
@@ -99,7 +101,7 @@ TEST_F(FleetSupervisorTest, RepeatedCrashesExhaustTheRestartBudget) {
   reference.run_week(kWeek);
 
   FleetConfig config = supervised("budget");
-  config.supervisor.max_restarts = 1;
+  config.max_restarts = 1;
   Fleet fleet(config, &pool);
   fleet.inject_crash(kVictim, 800);
   fleet.run_week(1000);
@@ -110,12 +112,12 @@ TEST_F(FleetSupervisorTest, RepeatedCrashesExhaustTheRestartBudget) {
   fleet.inject_crash(kVictim, 1600);
   fleet.run_week(kWeek - 1000);
 
-  const persist::HealthReport health = fleet.supervisor_health();
+  const HealthReport health = fleet.supervisor_health();
   ASSERT_EQ(health.modules.size(), kOffices);
   EXPECT_FALSE(health.all_healthy());
   std::size_t failed = 0;
-  for (const persist::ModuleHealth& m : health.modules) {
-    if (m.status == persist::ModuleStatus::kFailed) ++failed;
+  for (const ModuleHealth& m : health.modules) {
+    if (m.status == ModuleStatus::kFailed) ++failed;
   }
   EXPECT_EQ(failed, 1u);
   EXPECT_TRUE(fleet.shard(kVictim).faulted());
@@ -145,6 +147,77 @@ TEST_F(FleetSupervisorTest, CrashBehindTheCursorIsRejected) {
   Fleet fleet(supervised("behind"), &pool);
   fleet.run_week(500);
   EXPECT_THROW(fleet.inject_crash(0, 100), Error);
+}
+
+class SupervisorTest : public FleetSupervisorTest {
+ protected:
+  FleetConfig pair(const std::string& subdir) const {
+    FleetConfig config = supervised(subdir);
+    config.offices = 2;
+    return config;
+  }
+};
+
+TEST_F(SupervisorTest, ValidatesConfig) {
+  FleetConfig bad = pair("bad");
+  bad.max_restarts = 0;
+  EXPECT_THROW(Fleet{bad}, Error);
+}
+
+TEST_F(SupervisorTest, HealthyModuleIsLeftAlone) {
+  exec::ThreadPool pool(2);
+  Fleet fleet(pair("healthy"), &pool);
+  EXPECT_EQ(fleet.run_week(700).restarts, 0u);
+  const HealthReport health = fleet.supervisor_health();
+  ASSERT_EQ(health.modules.size(), 2u);
+  EXPECT_TRUE(health.all_healthy());
+  EXPECT_EQ(health.total_restarts, 0u);
+  for (const ModuleHealth& m : health.modules) {
+    EXPECT_EQ(m.last_heartbeat, 700);
+    EXPECT_TRUE(m.last_fault.empty());
+  }
+}
+
+TEST_F(SupervisorTest, ReportedFailureTriggersRestart) {
+  exec::ThreadPool pool(2);
+  Fleet fleet(pair("failure"), &pool);
+  fleet.inject_crash(1, 400);
+  EXPECT_EQ(fleet.run_week(700).restarts, 1u);
+  const HealthReport health = fleet.supervisor_health();
+  EXPECT_TRUE(health.all_healthy());
+  EXPECT_EQ(health.total_restarts, 1u);
+  EXPECT_EQ(health.modules[1].name, "office-1");
+  EXPECT_EQ(health.modules[1].restarts, 1u);
+  EXPECT_EQ(health.modules[1].last_fault, "injected shard crash at tick 400");
+}
+
+TEST_F(SupervisorTest, RestartsAreBoundedThenFailed) {
+  FleetConfig config = pair("bounded");
+  config.max_restarts = 2;
+  exec::ThreadPool pool(2);
+  Fleet fleet(config, &pool);
+  for (int round = 0; round < 4; ++round) {
+    fleet.inject_crash(0, fleet.tick() + 50);
+    fleet.run_week(100);
+  }
+  const HealthReport health = fleet.supervisor_health();
+  EXPECT_EQ(health.modules[0].restarts, 2u);  // bounded
+  EXPECT_EQ(health.modules[0].status, ModuleStatus::kFailed);
+  EXPECT_FALSE(health.all_healthy());
+  EXPECT_TRUE(fleet.shard(0).faulted());
+  EXPECT_EQ(fleet.shard(0).tick(), 250);  // parked at the third crash
+}
+
+TEST_F(SupervisorTest, ModulesAreIndependent) {
+  exec::ThreadPool pool(2);
+  Fleet fleet(pair("independent"), &pool);
+  fleet.inject_crash(0, 300);
+  fleet.run_week(600);
+  const HealthReport health = fleet.supervisor_health();
+  EXPECT_EQ(health.modules[0].restarts, 1u);
+  EXPECT_EQ(health.modules[1].restarts, 0u);
+  EXPECT_TRUE(health.modules[1].last_fault.empty());
+  EXPECT_EQ(fleet.shard(1).restores(), 0u);
 }
 
 }  // namespace
