@@ -4,7 +4,7 @@
 //
 // Report mode: `bench_micro_hotpaths [--fast] BENCH_hotpaths.json` runs
 // the scalar-vs-batched comparison suite instead (KDE pdf sweep, SVM
-// decision, channel sample_block, full FadewichSystem::step) and writes
+// decision, SIMD kernel rows, full FadewichSystem::step) and writes
 // the stamped JSON the CI perf gate diffs against the checked-in
 // baseline (tools/check_perf_regression.py).  FADEWICH_BENCH_HANDICAP
 // names one hot path whose *batched* side runs twice — a synthetic 2x
@@ -51,8 +51,7 @@ void BM_ChannelSampleNineSensors(benchmark::State& state) {
       {{2.0, 1.5}, 1.4}, {{4.3, 2.5}, 0.0}, {{0.7, 0.7}, 0.0}};
   // The row buffer is deliberately reused across iterations: a real
   // deployment overwrites the same staging row every tick, and clobbering
-  // it keeps the compiler from caching results between samples.  For bulk
-  // throughput (and the reuse-free code path) see BM_ChannelSampleBlock.
+  // it keeps the compiler from caching results between samples.
   std::vector<double> row(channel.stream_count());
   for (auto _ : state) {
     channel.sample(bodies, row);
@@ -63,34 +62,6 @@ void BM_ChannelSampleNineSensors(benchmark::State& state) {
                           static_cast<std::int64_t>(row.size()));
 }
 BENCHMARK(BM_ChannelSampleNineSensors);
-
-// Batched sampling, serial (1 thread) vs parallel (arg threads): the same
-// 4096-tick block of nine-sensor office activity.  items = stream-samples,
-// so items/sec is directly comparable across thread counts.
-void BM_ChannelSampleBlock(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const rf::FloorPlan plan = rf::paper_office();
-  rf::ChannelMatrix channel(plan.sensors, rf::ChannelConfig{}, 1);
-  constexpr std::size_t kTicks = 4096;
-  std::vector<std::vector<rf::BodyState>> bodies(kTicks);
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    const double x = 0.5 + 5.0 * static_cast<double>(t % 512) / 512.0;
-    bodies[t] = {{{x, 1.5}, 1.4}, {{4.3, 2.5}, 0.0}, {{0.7, 0.7}, 0.0}};
-  }
-  exec::ThreadPool pool(threads);
-  std::vector<double> block(kTicks * channel.stream_count());
-  for (auto _ : state) {
-    channel.sample_block(bodies, block, &pool);
-    benchmark::DoNotOptimize(block.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(block.size()));
-}
-BENCHMARK(BM_ChannelSampleBlock)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // Whole-pipeline parallelism: a short multi-day week, serial pool vs
 // arg-thread pool.  Outputs are bit-identical (see DeterminismTest); only
@@ -366,45 +337,6 @@ HotpathPair bench_svm_decision() {
   return result;
 }
 
-// Channel tick generation: per-tick sample() calls versus one
-// sample_block() over the same span of office activity (the block path
-// is what simulate_week drives; it may use the worker pool).
-HotpathPair bench_channel_sample_block() {
-  const bool fast = bench::fast_mode();
-  const rf::FloorPlan plan = rf::paper_office();
-  const std::size_t ticks = fast ? 1024 : 4096;
-  std::vector<std::vector<rf::BodyState>> bodies(ticks);
-  for (std::size_t t = 0; t < ticks; ++t) {
-    const double x = 0.5 + 5.0 * static_cast<double>(t % 512) / 512.0;
-    bodies[t] = {{{x, 1.5}, 1.4}, {{4.3, 2.5}, 0.0}, {{0.7, 0.7}, 0.0}};
-  }
-  rf::ChannelMatrix scalar_ch(plan.sensors, rf::ChannelConfig{}, 1);
-  rf::ChannelMatrix batched_ch(plan.sensors, rf::ChannelConfig{}, 1);
-  const std::size_t streams = scalar_ch.stream_count();
-  exec::ThreadPool pool;  // default_thread_count(), FADEWICH_THREADS-capped
-  std::vector<double> block(ticks * streams);
-  const int reps = fast ? 5 : 10;
-  const int factor = handicap("channel_sample_block");
-  HotpathPair result{
-      "channel_sample_block",
-      static_cast<std::int64_t>(ticks * streams), 0.0, 0.0};
-  result.scalar_ns = time_best_ns_per_op(reps, result.ops, [&] {
-    for (std::size_t t = 0; t < ticks; ++t) {
-      scalar_ch.sample(bodies[t],
-                       std::span<double>(block).subspan(t * streams,
-                                                        streams));
-    }
-    benchmark::DoNotOptimize(block.data());
-  });
-  result.batched_ns = time_best_ns_per_op(reps, result.ops, [&] {
-    for (int f = 0; f < factor; ++f) {
-      batched_ch.sample_block(bodies, block, &pool);
-    }
-    benchmark::DoNotOptimize(block.data());
-  });
-  return result;
-}
-
 // --- Kernel-level scalar-vs-SIMD rows --------------------------------
 // The pairs below pin the two ends of the runtime dispatch: the scalar
 // kernel table versus whatever active_kernels() resolved on this host.
@@ -644,10 +576,9 @@ SingleRate bench_system_step() {
 
 int run_hotpath_report(const std::string& path) {
   const std::vector<HotpathPair> pairs{
-      bench_kde_pdf_sweep(),      bench_svm_decision(),
-      bench_channel_sample_block(), bench_kde_pdf_block(),
-      bench_svm_sqdist_block(),   bench_welford_push_row(),
-      bench_channel_shadow_pass()};
+      bench_kde_pdf_sweep(),    bench_svm_decision(),
+      bench_kde_pdf_block(),    bench_svm_sqdist_block(),
+      bench_welford_push_row(), bench_channel_shadow_pass()};
   const SingleRate step = bench_system_step();
 
   std::ofstream out(path);

@@ -23,7 +23,6 @@
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
 #include "fadewich/net/live_network.hpp"
-#include "fadewich/rf/channel.hpp"
 #include "fadewich/rf/floorplan.hpp"
 #include "fadewich/sim/schedule.hpp"
 #include "fadewich/sim/simulator.hpp"
@@ -100,34 +99,6 @@ Comparison bench_simulate_week(exec::ThreadPool& serial,
   });
   out.parallel_ms = time_best_ms(reps, [&] {
     sim::simulate_week(plan, week, config, &wide);
-  });
-  return out;
-}
-
-Comparison bench_sample_block(exec::ThreadPool& serial,
-                              exec::ThreadPool& wide, int reps) {
-  const rf::FloorPlan plan = rf::paper_office();
-  const std::size_t ticks = fast_mode() ? 4096 : 16384;
-  std::vector<std::vector<rf::BodyState>> bodies(ticks);
-  for (std::size_t t = 0; t < ticks; ++t) {
-    const double x = 0.5 + 5.0 * static_cast<double>(t % 512) / 512.0;
-    bodies[t] = {{{x, 1.5}, 1.4}, {{4.3, 2.5}, 0.0}, {{0.7, 0.7}, 0.0}};
-  }
-
-  Comparison out;
-  out.name = "channel_sample_block";
-  rf::ChannelMatrix probe(plan.sensors, rf::ChannelConfig{}, 1);
-  out.items = static_cast<std::int64_t>(ticks) *
-              static_cast<std::int64_t>(probe.stream_count());
-  std::vector<double> block(ticks * probe.stream_count());
-  // Fresh channel per run so every run advances the same tick range.
-  out.serial_ms = time_best_ms(reps, [&] {
-    rf::ChannelMatrix channel(plan.sensors, rf::ChannelConfig{}, 1);
-    channel.sample_block(bodies, block, &serial);
-  });
-  out.parallel_ms = time_best_ms(reps, [&] {
-    rf::ChannelMatrix channel(plan.sensors, rf::ChannelConfig{}, 1);
-    channel.sample_block(bodies, block, &wide);
   });
   return out;
 }
@@ -301,7 +272,6 @@ int run(int argc, char** argv) {
 
   std::vector<Comparison> comparisons;
   comparisons.push_back(bench_simulate_week(serial, wide, reps));
-  comparisons.push_back(bench_sample_block(serial, wide, reps));
   comparisons.push_back(bench_svm_train(serial, wide, reps));
   for (const Comparison& c : comparisons) {
     std::cerr << "[bench_report] " << c.name << ": serial " << c.serial_ms

@@ -1,11 +1,9 @@
 #include "fadewich/eval/attack_sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
-#include "fadewich/common/crc32.hpp"
 #include "fadewich/common/error.hpp"
 #include "fadewich/core/radio_environment.hpp"
 #include "fadewich/obs/obs.hpp"
@@ -20,10 +18,6 @@ AttackReplayResult replay_under_attack(
   const std::size_t m = original.sensor_count();
   const Tick ticks = original.tick_count();
   FADEWICH_EXPECTS(scenario.deadline_ticks > 0);
-
-  net::StationConfig station_config;
-  station_config.deadline_ticks = scenario.deadline_ticks;
-  net::CentralStation station(m, station_config);
 
   std::optional<net::AttackInjector> injector;
   if (scenario.attack.enabled()) {
@@ -51,64 +45,19 @@ AttackReplayResult replay_under_attack(
     injector->set_station_keys(keys);
   }
 
-  // Station stream order -> recording stream order.
-  std::vector<std::size_t> rec_stream(station.stream_count());
-  for (std::size_t s = 0; s < station.stream_count(); ++s) {
-    const auto [tx, rx] = station.stream_pair(s);
-    rec_stream[s] = original.stream_index(tx, rx);
-  }
-
-  AttackReplayResult out{
-      sim::Recording(original.rate().hz(), m, original.day_length(),
-                     original.day_count()),
-      {}, {}, {}, {}, 0, 0};
-  out.recording.events() = original.events();
-  out.recording.seated_intervals() = original.seated_intervals();
-
-  Crc32 digest;
-  std::vector<double> row(station.stream_count(), 0.0);
-  std::vector<double> last_row(station.stream_count(), 0.0);
-  Tick expected = 0;
-  std::uint64_t gaps = 0;
-  const net::CentralStation::RowSink emit = [&](const net::StationRow& got) {
-    while (expected < got.tick) {  // eviction gap: forward-fill
-      out.recording.append_samples(last_row);
-      ++gaps;
-      ++expected;
-    }
-    for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = got.values[s];
-    }
-    digest.update(row.data(), row.size() * sizeof(double));
-    out.recording.append_samples(row);
-    last_row = row;
-    ++expected;
-  };
-
   net::FrameDecoder decoder;
   std::vector<std::uint8_t> frame_scratch;
   std::vector<std::uint8_t> wire;
   std::vector<net::WireReport> reports;
-  std::vector<net::Measurement> batch;
   std::vector<std::uint64_t> next_seq(m, 0);
 
-  const auto pump = [&](Tick t) {
-    decoder.feed(wire);
-    wire.clear();
-    while (const net::DecodedFrame* frame = decoder.next()) {
-      if (defender) {
-        defender->filter_frame(*frame, t, batch);
-      } else {
-        net::to_measurements(*frame, batch);
-      }
-    }
-    station.ingest(batch, emit, t);
-    batch.clear();
-  };
-
+  // Each tick every station encodes one signed frame of its links (jam
+  // hook first) onto the attacker-controlled wire; trailing ticks only
+  // drain matured replays.  Whatever decodes (and passes the defender)
+  // reaches the station.
   const auto devices = static_cast<net::DeviceId>(m);
-  for (Tick t = 0; t < ticks; ++t) {
-    for (net::DeviceId tx = 0; tx < devices; ++tx) {
+  const TickBatch frames = [&](Tick t, std::vector<net::Measurement>& batch) {
+    for (net::DeviceId tx = 0; tx < devices && t < ticks; ++tx) {
       net::FrameHeader header;
       header.station_id = tx;
       header.tx = tx;
@@ -117,8 +66,9 @@ AttackReplayResult replay_under_attack(
       reports.clear();
       for (net::DeviceId rx = 0; rx < devices; ++rx) {
         if (rx == tx) continue;
-        const std::size_t s = station.stream_index(tx, rx);
-        double value = original.rssi(rec_stream[s], t);
+        // Jam windows name streams in the same dense tx-major layout.
+        const std::size_t s = original.stream_index(tx, rx);
+        double value = original.rssi(s, t);
         if (injector) value = injector->jam(t, s, value);
         reports.push_back({rx, net::wire_encode_dbm(value)});
       }
@@ -131,34 +81,28 @@ AttackReplayResult replay_under_attack(
       }
     }
     if (injector) injector->advance(t, wire);
-    pump(t);
-  }
-
-  // Force the deadline on trailing ticks and drain matured replays.
-  const Tick horizon =
-      ticks + scenario.deadline_ticks +
-      (injector ? scenario.attack.replay_delay_ticks : 0) + 1;
-  for (Tick t = ticks; t < horizon && expected < ticks; ++t) {
-    if (injector) injector->advance(t, wire);
-    pump(t);
-  }
-  while (expected < ticks) {  // fully evicted tail, if any
-    out.recording.append_samples(last_row);
-    ++gaps;
-    ++expected;
-  }
+    decoder.feed(wire);
+    wire.clear();
+    while (const net::DecodedFrame* frame = decoder.next()) {
+      if (defender) {
+        defender->filter_frame(*frame, t, batch);
+      } else {
+        net::to_measurements(*frame, batch);
+      }
+    }
+  };
+  net::StationConfig station_config;
+  station_config.deadline_ticks = scenario.deadline_ticks;
+  AttackReplayResult out{
+      replay_rows(original, station_config,
+                  injector ? scenario.attack.replay_delay_ticks : 0, frames),
+      {}, {}, {}};
   decoder.finish();
-  FADEWICH_ENSURES(out.recording.tick_count() == ticks);
 
   if (defender) defender->publish_metrics(ticks);
-  out.health = station.health();
   out.wire = decoder.counters();
   if (injector) out.attack = injector->counters();
   if (defender) out.defend = defender->counters();
-  out.gap_rows = gaps;
-  out.row_digest =
-      (static_cast<std::uint64_t>(digest.value()) << 32) |
-      static_cast<std::uint64_t>(ticks);
   return out;
 }
 
@@ -174,6 +118,7 @@ AttackScenarioResult evaluate_attack_scenario(
       evaluate_security(replay.recording, sensors, md_config, config);
 
   AttackScenarioResult out;
+  summarize_deauths(security, out);
   out.scenario = scenario;
   out.health = replay.health;
   out.wire = replay.wire;
@@ -181,8 +126,6 @@ AttackScenarioResult evaluate_attack_scenario(
   out.defend = replay.defend;
   out.gap_rows = replay.gap_rows;
   out.row_digest = replay.row_digest;
-  out.re_accuracy = security.re_accuracy;
-  out.leave_events = security.outcomes.size();
 
   for (const WindowDecision& d : security.decisions) {
     if (!d.is_true_positive && core::is_leave_label(d.predicted_label)) {
@@ -194,27 +137,10 @@ AttackScenarioResult evaluate_attack_scenario(
       "fadewich_defend_under_attack_deauth_seconds",
       "deauth delay per leave event while an attack campaign is active",
       {1, 2, 4, 6, 8, 12, 16, 24, 32, 64, 128, 300});
-
-  std::vector<double> delays;
-  delays.reserve(security.outcomes.size());
-  for (const LeaveOutcome& o : security.outcomes) {
-    switch (o.outcome) {
-      case DeauthCase::kCorrect: ++out.case_a; break;
-      case DeauthCase::kMisclassified: ++out.case_b; break;
-      case DeauthCase::kMissed: ++out.case_c; break;
+  if (scenario.attack.enabled()) {
+    for (const LeaveOutcome& o : security.outcomes) {
+      under_attack_delay.observe(o.delay);
     }
-    delays.push_back(o.delay);
-    if (scenario.attack.enabled()) under_attack_delay.observe(o.delay);
-  }
-  if (!delays.empty()) {
-    double sum = 0.0;
-    for (const double d : delays) sum += d;
-    out.mean_delay = sum / static_cast<double>(delays.size());
-    std::sort(delays.begin(), delays.end());
-    const auto idx = static_cast<std::size_t>(std::ceil(
-                         0.9 * static_cast<double>(delays.size()))) -
-                     1;
-    out.p90_delay = delays[std::min(idx, delays.size() - 1)];
   }
   return out;
 }

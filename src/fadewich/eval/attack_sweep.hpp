@@ -18,11 +18,10 @@
 #include "fadewich/core/movement_detector.hpp"
 #include "fadewich/defend/defender.hpp"
 #include "fadewich/eval/security.hpp"
+#include "fadewich/eval/station_replay.hpp"
 #include "fadewich/net/adversary.hpp"
-#include "fadewich/net/central_station.hpp"
 #include "fadewich/net/wire.hpp"
 #include "fadewich/rf/geometry.hpp"
-#include "fadewich/sim/recording.hpp"
 
 namespace fadewich::eval {
 
@@ -38,16 +37,10 @@ struct AttackScenario {
 
 /// The degraded recording the station reconstructed under attack, plus
 /// every layer's telemetry.
-struct AttackReplayResult {
-  sim::Recording recording;
-  net::StationHealth health;
+struct AttackReplayResult : StationReplay {
   net::WireCounters wire;
   net::AttackInjector::Counters attack;  // zeros when no attack
   defend::DefendCounters defend;         // zeros when no defender
-  std::uint64_t gap_rows = 0;
-  /// CRC-64-ish digest over every released row's values, in tick order.
-  /// Two replays reconstructed the same matrix iff digests match.
-  std::uint64_t row_digest = 0;
 };
 
 /// Replay `original` through the adversarial wire path.  `positions`
@@ -63,15 +56,8 @@ AttackReplayResult replay_under_attack(
 /// the deauth decisions the attacker *injected* (false-positive windows
 /// that classified as a workstation departure — each one is a spurious
 /// deauthentication a real deployment would execute).
-struct AttackScenarioResult {
+struct AttackScenarioResult : DeauthSummary {
   AttackScenario scenario;
-  std::size_t leave_events = 0;
-  std::size_t case_a = 0;
-  std::size_t case_b = 0;
-  std::size_t case_c = 0;
-  double mean_delay = 0.0;
-  double p90_delay = 0.0;
-  double re_accuracy = 0.0;
   /// False-positive variation windows that produced a deauthentication
   /// decision (predicted some workstation's departure).
   std::size_t spurious_deauths = 0;

@@ -1,9 +1,6 @@
 #include "fadewich/eval/fault_sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
-#include <utility>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/eval/paper_setup.hpp"
@@ -17,84 +14,32 @@ ReplayResult replay_through_station(const sim::Recording& original,
   FADEWICH_EXPECTS(!faults.enabled() || station_config.deadline_ticks > 0);
   const std::size_t m = original.sensor_count();
   const Tick ticks = original.tick_count();
-
-  net::CentralStation station(m, station_config);
   std::optional<net::FaultInjector> injector;
   if (faults.enabled()) injector.emplace(m, faults, seed);
-  std::vector<net::Measurement> reports;
-
-  // Station stream order -> recording stream order (both are the dense
-  // tx-major layout today; the map keeps the replay correct if either
-  // side ever changes).
-  std::vector<std::size_t> rec_stream(station.stream_count());
-  for (std::size_t s = 0; s < station.stream_count(); ++s) {
-    const auto [tx, rx] = station.stream_pair(s);
-    rec_stream[s] = original.stream_index(tx, rx);
-  }
-
-  ReplayResult out{
-      sim::Recording(original.rate().hz(), m, original.day_length(),
-                     original.day_count()),
-      {}, {}, 0};
-  out.recording.events() = original.events();
-  out.recording.seated_intervals() = original.seated_intervals();
-
-  std::vector<double> row(station.stream_count(), 0.0);
-  std::vector<double> last_row(station.stream_count(), 0.0);
-  Tick expected = 0;
-  std::uint64_t gaps = 0;
-  const net::CentralStation::RowSink emit = [&](const net::StationRow& got) {
-    while (expected < got.tick) {  // eviction gap: forward-fill
-      out.recording.append_samples(last_row);
-      ++gaps;
-      ++expected;
-    }
-    for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = got.values[s];
-    }
-    out.recording.append_samples(row);
-    last_row = row;
-    ++expected;
-  };
 
   const auto devices = static_cast<net::DeviceId>(m);
-  for (Tick t = 0; t < ticks; ++t) {
-    for (net::DeviceId tx = 0; tx < devices; ++tx) {
+  // Each tick every device reports every link it hears; trailing ticks
+  // only release what the injector still holds back.
+  const TickBatch reports = [&](Tick t, std::vector<net::Measurement>& batch) {
+    for (net::DeviceId tx = 0; tx < devices && t < ticks; ++tx) {
       for (net::DeviceId rx = 0; rx < devices; ++rx) {
         if (tx == rx) continue;
         const net::Measurement report{
-            tx, rx, t,
-            original.rssi(original.stream_index(tx, rx), t)};
+            tx, rx, t, original.rssi(original.stream_index(tx, rx), t)};
         if (injector) {
-          injector->offer(report, reports);
+          injector->offer(report, batch);
         } else {
-          reports.push_back(report);
+          batch.push_back(report);
         }
       }
     }
-    if (injector) injector->advance(t, reports);
-    station.ingest(reports, emit, t);
-    reports.clear();
-  }
-
-  // Drain delayed traffic and force the deadline on trailing ticks.
-  const Tick horizon = ticks + station_config.deadline_ticks +
-                       (injector ? faults.max_delay_ticks : 0) + 1;
-  for (Tick t = ticks; t < horizon && expected < ticks; ++t) {
-    if (injector) injector->advance(t, reports);
-    station.ingest(reports, emit, t);
-    reports.clear();
-  }
-  while (expected < ticks) {  // fully evicted tail, if any
-    out.recording.append_samples(last_row);
-    ++gaps;
-    ++expected;
-  }
-  FADEWICH_ENSURES(out.recording.tick_count() == ticks);
-
-  out.health = station.health();
+    if (injector) injector->advance(t, batch);
+  };
+  ReplayResult out{
+      replay_rows(original, station_config,
+                  injector ? faults.max_delay_ticks : 0, reports),
+      {}};
   if (injector) out.fault_counters = injector->counters();
-  out.gap_rows = gaps;
   return out;
 }
 
@@ -133,31 +78,10 @@ FaultScenarioResult evaluate_fault_scenario(
       replay.recording, sensors, md_config, config);
 
   FaultScenarioResult out;
+  summarize_deauths(security, out);
   out.scenario = scenario;
   out.health = replay.health;
   out.fault_counters = replay.fault_counters;
-  out.re_accuracy = security.re_accuracy;
-  out.leave_events = security.outcomes.size();
-  std::vector<double> delays;
-  delays.reserve(security.outcomes.size());
-  for (const LeaveOutcome& o : security.outcomes) {
-    switch (o.outcome) {
-      case DeauthCase::kCorrect: ++out.case_a; break;
-      case DeauthCase::kMisclassified: ++out.case_b; break;
-      case DeauthCase::kMissed: ++out.case_c; break;
-    }
-    delays.push_back(o.delay);
-  }
-  if (!delays.empty()) {
-    double sum = 0.0;
-    for (const double d : delays) sum += d;
-    out.mean_delay = sum / static_cast<double>(delays.size());
-    std::sort(delays.begin(), delays.end());
-    const auto idx = static_cast<std::size_t>(std::ceil(
-                         0.9 * static_cast<double>(delays.size()))) -
-                     1;
-    out.p90_delay = delays[std::min(idx, delays.size() - 1)];
-  }
   return out;
 }
 

@@ -18,19 +18,15 @@
 
 #include "fadewich/core/movement_detector.hpp"
 #include "fadewich/eval/security.hpp"
-#include "fadewich/net/central_station.hpp"
+#include "fadewich/eval/station_replay.hpp"
 #include "fadewich/net/fault_injector.hpp"
-#include "fadewich/sim/recording.hpp"
 
 namespace fadewich::eval {
 
 /// A degraded recording plus the transport/station telemetry of the
 /// replay that produced it.
-struct ReplayResult {
-  sim::Recording recording;
-  net::StationHealth health;
+struct ReplayResult : StationReplay {
   net::FaultInjector::Counters fault_counters;  // zeros if faults disabled
-  std::uint64_t gap_rows = 0;  // ticks forward-filled (eviction gaps)
 };
 
 /// Replay `original` through the faulty transport and the central
@@ -59,15 +55,8 @@ net::FaultConfig scenario_faults(const FaultScenario& scenario,
                                  std::size_t sensor_count,
                                  Tick tick_count);
 
-struct FaultScenarioResult {
+struct FaultScenarioResult : DeauthSummary {
   FaultScenario scenario;
-  std::size_t leave_events = 0;
-  std::size_t case_a = 0;  // deauth via correct classification
-  std::size_t case_b = 0;  // misclassified -> screensaver lock
-  std::size_t case_c = 0;  // missed -> baseline timeout
-  double mean_delay = 0.0;  // mean deauth delay (s) over leave events
-  double p90_delay = 0.0;   // 90th-percentile deauth delay (s)
-  double re_accuracy = 0.0;
   net::StationHealth health;
   net::FaultInjector::Counters fault_counters;
 };

@@ -1,6 +1,7 @@
 #include "fadewich/eval/security.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "fadewich/common/error.hpp"
@@ -146,6 +147,31 @@ SecurityResult evaluate_security(
     result.outcomes.push_back(outcome);
   }
   return result;
+}
+
+void summarize_deauths(const SecurityResult& security, DeauthSummary& out) {
+  out = DeauthSummary{};
+  out.re_accuracy = security.re_accuracy;
+  out.leave_events = security.outcomes.size();
+  std::vector<double> delays;
+  delays.reserve(security.outcomes.size());
+  for (const LeaveOutcome& o : security.outcomes) {
+    switch (o.outcome) {
+      case DeauthCase::kCorrect: ++out.case_a; break;
+      case DeauthCase::kMisclassified: ++out.case_b; break;
+      case DeauthCase::kMissed: ++out.case_c; break;
+    }
+    delays.push_back(o.delay);
+  }
+  if (delays.empty()) return;
+  double sum = 0.0;
+  for (const double d : delays) sum += d;
+  out.mean_delay = sum / static_cast<double>(delays.size());
+  std::sort(delays.begin(), delays.end());
+  const auto idx = static_cast<std::size_t>(std::ceil(
+                       0.9 * static_cast<double>(delays.size()))) -
+                   1;
+  out.p90_delay = delays[std::min(idx, delays.size() - 1)];
 }
 
 std::vector<double> deauth_proportion_series(

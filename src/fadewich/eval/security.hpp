@@ -75,6 +75,22 @@ SecurityResult evaluate_security(
     const core::MovementDetectorConfig& md_config,
     const SecurityConfig& config);
 
+/// Case A/B/C mix and deauthentication delays of one evaluation; the
+/// fault and attack sweeps report one per scenario.
+struct DeauthSummary {
+  std::size_t leave_events = 0;
+  std::size_t case_a = 0;  // deauth via correct classification
+  std::size_t case_b = 0;  // misclassified -> screensaver lock
+  std::size_t case_c = 0;  // missed -> baseline timeout
+  double mean_delay = 0.0;  // mean deauth delay (s) over leave events
+  double p90_delay = 0.0;   // nearest-rank 90th-percentile delay (s)
+  double re_accuracy = 0.0;
+};
+
+/// Overwrite `out` (a sweep result's summary part) from `security`'s
+/// leave outcomes and RE accuracy.
+void summarize_deauths(const SecurityResult& security, DeauthSummary& out);
+
 /// Fig. 9 series: percentage of leave events deauthenticated within each
 /// elapsed time in `grid` (seconds after leaving the vicinity).
 std::vector<double> deauth_proportion_series(

@@ -19,7 +19,6 @@
 
 #include "fadewich/net/central_station.hpp"
 #include "fadewich/net/fault_injector.hpp"
-#include "fadewich/net/stream_source.hpp"
 #include "fadewich/rf/channel.hpp"
 
 namespace fadewich::net {

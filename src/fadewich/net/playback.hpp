@@ -1,17 +1,18 @@
-// Playback of a sim::Recording as an RssiStreamSource, optionally
-// restricted to the streams of a sensor subset.  All the paper's offline
+// Playback of a sim::Recording as synchronised RSSI streams advancing one
+// tick at a time, optionally restricted to the streams of a sensor subset.  All the paper's offline
 // sweeps (sensor counts, t_delta values) run MD/RE over playbacks of one
 // recording, exactly as the authors analysed one physical dataset.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "fadewich/net/stream_source.hpp"
+#include "fadewich/common/time.hpp"
 #include "fadewich/sim/recording.hpp"
 
 namespace fadewich::net {
 
-class RecordingPlayback final : public RssiStreamSource {
+class RecordingPlayback {
  public:
   /// Play back every stream of the recording.
   explicit RecordingPlayback(const sim::Recording& recording);
@@ -21,9 +22,12 @@ class RecordingPlayback final : public RssiStreamSource {
   RecordingPlayback(const sim::Recording& recording,
                     const std::vector<std::size_t>& sensors);
 
-  std::size_t stream_count() const override { return streams_.size(); }
-  double tick_hz() const override;
-  bool next(std::span<double> out) override;
+  std::size_t stream_count() const { return streams_.size(); }
+  double tick_hz() const;
+
+  /// Advance one tick.  Returns false once the recording is exhausted; on
+  /// success `out` (size stream_count()) receives the new samples.
+  bool next(std::span<double> out);
 
   Tick position() const { return position_; }
   void rewind() { position_ = 0; }

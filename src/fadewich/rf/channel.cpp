@@ -6,7 +6,6 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
-#include "fadewich/exec/thread_pool.hpp"
 
 namespace fadewich::rf {
 
@@ -168,7 +167,6 @@ void ChannelMatrix::advance_interference() {
   }
   interference_gap_ticks_ = noise_rng_.exponential(
       1.0 / (config_.interference_mean_gap_s * config_.tick_hz));
-  ++interference_burst_seq_;
 }
 
 void ChannelMatrix::sample(std::span<const BodyState> bodies,
@@ -235,11 +233,10 @@ double ChannelMatrix::finish_stream(LinkState& ls, double rssi,
   return rssi;
 }
 
-simd::ShadowGeomView ChannelMatrix::geom_view(std::size_t s) const {
-  return {geo_ax_.data() + s,   geo_ay_.data() + s,
-          geo_bx_.data() + s,   geo_by_.data() + s,
-          geo_dirx_.data() + s, geo_diry_.data() + s,
-          geo_len_.data() + s,  geo_inv_len2_.data() + s};
+simd::ShadowGeomView ChannelMatrix::geom_view() const {
+  return {geo_ax_.data(),   geo_ay_.data(),   geo_bx_.data(),
+          geo_by_.data(),   geo_dirx_.data(), geo_diry_.data(),
+          geo_len_.data(),  geo_inv_len2_.data()};
 }
 
 void ChannelMatrix::sample(std::span<const BodyState> bodies,
@@ -268,7 +265,7 @@ void ChannelMatrix::sample(std::span<const BodyState> bodies,
     rssi[s] = stream_base(links_[s], drift_arg);
     noise_var[s] = 0.0;
   }
-  const simd::ShadowGeomView geom = geom_view(0);
+  const simd::ShadowGeomView geom = geom_view();
   for (const BodyState& body : bodies) {
     const simd::ShadowParams p = make_shadow_params(config_.body, body);
     kt.shadow_body_pass(geom, streams, p, rssi.data(), noise_var.data());
@@ -279,105 +276,6 @@ void ChannelMatrix::sample(std::span<const BodyState> bodies,
                                                  : 0.0;
     out[s] = finish_stream(links_[s], rssi[s], noise_var[s],
                            interference_std);
-  }
-}
-
-void ChannelMatrix::sample_block(
-    std::span<const std::vector<BodyState>> bodies_per_tick,
-    std::span<double> out, exec::ThreadPool* pool) {
-  const std::size_t ticks = bodies_per_tick.size();
-  const std::size_t streams = links_.size();
-  FADEWICH_EXPECTS(out.size() == ticks * streams);
-  if (ticks == 0) return;
-
-  // Serial prologue: advance the global per-tick state (interference
-  // schedule, drift clock) exactly as `ticks` successive sample() calls
-  // would, recording what each tick saw.  The staging buffers are
-  // retained members — pool workers read them concurrently, so they must
-  // not live in the caller's thread-local arena — and their capacity
-  // survives across calls: after the first block of a given size, the
-  // prologue allocates nothing.
-  const bool drifting = config_.baseline_drift_amplitude_db > 0.0 ||
-                        config_.noise_drift_fraction > 0.0;
-  blk_drift_args_.assign(ticks, 0.0);
-  blk_tick_std_.assign(ticks, 0.0);
-  blk_burst_of_.assign(ticks, 0);
-  std::size_t snapshots = 0;        // bursts seen in this block
-  std::uint64_t snapshot_seq = 0;   // burst seq of the latest snapshot
-  for (std::size_t t = 0; t < ticks; ++t) {
-    advance_interference();
-    const double now_s = static_cast<double>(tick_++) / config_.tick_hz;
-    if (drifting) {
-      blk_drift_args_[t] = kTwoPi * now_s / config_.baseline_drift_period_s;
-    }
-    if (interference_remaining_ticks_ > 0.0) {
-      blk_tick_std_[t] = interference_std_db_;
-      if (snapshots == 0 || snapshot_seq != interference_burst_seq_) {
-        // Flat [burst][stream] snapshot of the affected-link mask.
-        blk_affected_.resize((snapshots + 1) * streams);
-        std::copy(interference_affected_.begin(),
-                  interference_affected_.end(),
-                  blk_affected_.begin() +
-                      static_cast<std::ptrdiff_t>(snapshots * streams));
-        ++snapshots;
-        snapshot_seq = interference_burst_seq_;
-      }
-      blk_burst_of_[t] = static_cast<std::uint32_t>(snapshots - 1);
-    }
-  }
-
-  // Per-stream time series are mutually independent: each draws only from
-  // its own link state.  A worker owns a contiguous range of streams and
-  // runs the same wide tick structure as sample() over that range —
-  // per-link prologue, one shadowing-kernel pass per body across the
-  // whole range, per-link epilogue — so every stream runs the identical
-  // per-lane arithmetic regardless of which path or thread computed it.
-  // Output layout is [tick][stream].
-  const auto compute_stream_range = [&](std::size_t s0, std::size_t s1) {
-    const std::size_t n = s1 - s0;
-    const simd::KernelTable& kt = simd::active_kernels();
-    const simd::ShadowGeomView geom = geom_view(s0);
-    auto& arena = common::ScratchArena::local();
-    const auto frame = arena.frame();
-    const std::span<double> rssi = arena.get<double>(n);
-    const std::span<double> noise_var = arena.get<double>(n);
-    for (std::size_t t = 0; t < ticks; ++t) {
-      const double drift_arg = blk_drift_args_[t];
-      for (std::size_t s = s0; s < s1; ++s) {
-        rssi[s - s0] = stream_base(links_[s], drift_arg);
-        noise_var[s - s0] = 0.0;
-      }
-      for (const BodyState& body : bodies_per_tick[t]) {
-        const simd::ShadowParams p = make_shadow_params(config_.body, body);
-        kt.shadow_body_pass(geom, n, p, rssi.data(), noise_var.data());
-      }
-      const double tick_std = blk_tick_std_[t];
-      double* out_row = out.data() + t * streams;
-      for (std::size_t s = s0; s < s1; ++s) {
-        const double interference_std =
-            tick_std > 0.0 &&
-                    blk_affected_[blk_burst_of_[t] * streams + s] != 0
-                ? tick_std
-                : 0.0;
-        out_row[s] = finish_stream(links_[s], rssi[s - s0],
-                                   noise_var[s - s0], interference_std);
-      }
-    }
-  };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    // Chunks wide enough to keep the kernel in its vector main loop
-    // (a one-stream chunk would run the scalar tail every tick).
-    const std::size_t chunks =
-        std::max<std::size_t>(1, std::min(streams / 8,
-                                          pool->thread_count() * 4));
-    const std::size_t per = (streams + chunks - 1) / chunks;
-    pool->parallel_for(0, chunks, [&](std::size_t c) {
-      const std::size_t s0 = c * per;
-      const std::size_t s1 = std::min(s0 + per, streams);
-      if (s0 < s1) compute_stream_range(s0, s1);
-    });
-  } else {
-    compute_stream_range(0, streams);
   }
 }
 

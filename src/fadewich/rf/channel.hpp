@@ -14,9 +14,10 @@
 // strongly in Fig. 11 without being identical.
 //
 // Every stream owns its noise generator (seeded deterministically at
-// construction), so streams are statistically and computationally
-// independent: sample_block() can compute them on different threads and
-// still produce output bit-identical to tick-by-tick sample() calls.
+// construction), so streams are statistically independent.  One sample()
+// call advances every stream by one tick; simulate_week gets its
+// parallelism from running whole days (each with its own ChannelMatrix)
+// concurrently, not from splitting one channel's streams.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +32,6 @@
 #include "fadewich/rf/geometry.hpp"
 #include "fadewich/rf/jammer.hpp"
 #include "fadewich/rf/pathloss.hpp"
-
-namespace fadewich::exec {
-class ThreadPool;
-}  // namespace fadewich::exec
 
 namespace fadewich::rf {
 
@@ -108,20 +105,6 @@ class ChannelMatrix {
   /// Convenience allocating overload.
   std::vector<double> sample(std::span<const BodyState> bodies);
 
-  /// Batched sampling: advance `bodies_per_tick.size()` consecutive ticks
-  /// in one call.  `bodies_per_tick[t]` lists the bodies present at tick
-  /// t; `out` is row-major [tick][stream] and must hold
-  /// bodies_per_tick.size() * stream_count() values.
-  ///
-  /// The per-tick global state (interference bursts, drift clock) is
-  /// advanced serially first; the per-stream time series are then
-  /// computed independently — in parallel when `pool` is given — each
-  /// from its own RNG.  Output is bit-identical to the equivalent
-  /// sequence of sample() calls at any thread count.
-  void sample_block(std::span<const std::vector<BodyState>> bodies_per_tick,
-                    std::span<double> out,
-                    exec::ThreadPool* pool = nullptr);
-
   const ChannelConfig& config() const { return config_; }
 
  private:
@@ -131,7 +114,7 @@ class ChannelMatrix {
     double static_rssi_dbm = 0.0;  // P_tx - PL - shadowing - offset
     double drift_phase = 0.0;      // baseline drift phase offset
     Ar1Fading fading;
-    Rng noise_rng;  // per-stream: keeps streams independent across threads
+    Rng noise_rng;  // per-stream: keeps streams statistically independent
   };
 
   void advance_interference();
@@ -140,8 +123,8 @@ class ChannelMatrix {
   /// Interference variance, noise draw, clamp, quantise (epilogue).
   double finish_stream(LinkState& ls, double rssi, double noise_var,
                        double interference_std_db) const;
-  /// SoA geometry view starting at stream s (the whole bank at s = 0).
-  simd::ShadowGeomView geom_view(std::size_t s) const;
+  /// SoA geometry view over every stream.
+  simd::ShadowGeomView geom_view() const;
 
   std::vector<Point> sensors_;
   ChannelConfig config_;
@@ -150,8 +133,7 @@ class ChannelMatrix {
   std::vector<LinkState> links_;
   // Structure-of-arrays copy of every link's cached geometry, filled once
   // at construction: the wide shadowing kernel loads lane j's segment
-  // from element j of each array.  sample_block slices the same arrays at
-  // per-worker offsets, so both paths run the identical kernel.
+  // from element j of each array.
   std::vector<double> geo_ax_, geo_ay_, geo_bx_, geo_by_;
   std::vector<double> geo_dirx_, geo_diry_, geo_len_, geo_inv_len2_;
   Rng noise_rng_;  // interference burst scheduling only
@@ -164,17 +146,6 @@ class ChannelMatrix {
   // keep the hot loop branch-free and the buffer reusable in place).
   // Sized once at construction, overwritten per burst.
   std::vector<std::uint8_t> interference_affected_;
-  std::uint64_t interference_burst_seq_ = 0;  // bursts started so far
-
-  // sample_block staging, retained across calls so the steady-state loop
-  // is allocation-free once warmed: per-tick drift phase, interference
-  // level, burst snapshot index, and the flat [burst][stream] mask
-  // snapshots.  Members (not thread-local scratch) because pool workers
-  // read them concurrently during the parallel stream loop.
-  std::vector<double> blk_drift_args_;
-  std::vector<double> blk_tick_std_;
-  std::vector<std::uint32_t> blk_burst_of_;
-  std::vector<std::uint8_t> blk_affected_;
 
   Tick tick_ = 0;  // samples taken, for the baseline drift clock
 };

@@ -27,18 +27,9 @@ struct DayResult {
   std::vector<std::vector<Interval>> seated;  // per workstation
 };
 
-// Channel sampling is batched: the agent/event logic runs tick by tick
-// accumulating body states, and every kSampleChunkTicks ticks the whole
-// chunk is pushed through ChannelMatrix::sample_block (which may fan the
-// streams out across the pool).  The chunk size bounds the double-precision
-// staging buffer (4096 ticks x 72 streams ~ 2.4 MB) without affecting
-// output: block boundaries are invisible to the channel state.
-constexpr std::size_t kSampleChunkTicks = 4096;
-
 DayResult simulate_day(const rf::FloorPlan& plan, const WeekSchedule& week,
                        std::size_t day, const SimulationConfig& config,
-                       std::uint64_t channel_seed, Rng person_rng,
-                       exec::ThreadPool* pool) {
+                       std::uint64_t channel_seed, Rng person_rng) {
   const std::size_t people = plan.workstation_count();
   const Seconds day_length = week.day_config.day_length;
   const Seconds dt = 1.0 / config.tick_hz;
@@ -72,19 +63,8 @@ DayResult simulate_day(const rf::FloorPlan& plan, const WeekSchedule& week,
   const Tick day_ticks = rate.to_ticks_floor(day_length);
   result.samples.reserve(static_cast<std::size_t>(day_ticks) * streams);
 
-  std::vector<std::vector<rf::BodyState>> bodies_chunk;
-  bodies_chunk.reserve(kSampleChunkTicks);
-  std::vector<double> block_buf;
-
-  const auto flush_chunk = [&] {
-    if (bodies_chunk.empty()) return;
-    block_buf.resize(bodies_chunk.size() * streams);
-    channel.sample_block(bodies_chunk, block_buf, pool);
-    for (const double v : block_buf) {
-      result.samples.push_back(Recording::encode_dbm(v));
-    }
-    bodies_chunk.clear();
-  };
+  std::vector<rf::BodyState> bodies;
+  std::vector<double> row(streams);
 
   for (Tick tick = 0; tick < day_ticks; ++tick) {
     const Seconds local_now = rate.to_seconds(tick);
@@ -151,15 +131,16 @@ DayResult simulate_day(const rf::FloorPlan& plan, const WeekSchedule& week,
       }
     }
 
-    // Queue this tick's occupancy for the next batched channel flush.
-    std::vector<rf::BodyState> bodies;
+    // Sample the channel with this tick's occupancy.
+    bodies.clear();
     for (const Person& person : persons) {
       if (person.inside()) bodies.push_back(person.body());
     }
-    bodies_chunk.push_back(std::move(bodies));
-    if (bodies_chunk.size() >= kSampleChunkTicks) flush_chunk();
+    channel.sample(bodies, row);
+    for (const double v : row) {
+      result.samples.push_back(Recording::encode_dbm(v));
+    }
   }
-  flush_chunk();
 
   // Close any seated interval still open at day end.
   for (std::size_t p = 0; p < people; ++p) {
@@ -208,7 +189,7 @@ Recording simulate_week(const rf::FloorPlan& plan, const WeekSchedule& week,
   std::vector<DayResult> results(days);
   pool->parallel_for(0, days, [&](std::size_t day) {
     results[day] = simulate_day(plan, week, day, config,
-                                channel_seeds[day], person_rngs[day], pool);
+                                channel_seeds[day], person_rngs[day]);
   });
 
   const Tick day_ticks = rec.rate().to_ticks_floor(day_length);

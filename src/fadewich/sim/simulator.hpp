@@ -37,9 +37,9 @@ struct SimulationConfig {
 /// Execution: days are mutually independent — each gets its own channel
 /// and agents, seeded deterministically from `config.seed` — so they run
 /// concurrently on `pool` (the process-wide pool when nullptr; honours
-/// FADEWICH_THREADS), and each day's streams are sampled in batched
-/// blocks.  Day results are merged in tick order, so the Recording is
-/// bit-identical at any thread count, including a 1-thread pool.
+/// FADEWICH_THREADS), each sampling its channel one tick at a time.  Day
+/// results are merged in tick order, so the Recording is bit-identical at
+/// any thread count, including a 1-thread pool.
 Recording simulate_week(const rf::FloorPlan& plan, const WeekSchedule& week,
                         const SimulationConfig& config,
                         exec::ThreadPool* pool = nullptr);

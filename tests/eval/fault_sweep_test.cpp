@@ -63,6 +63,40 @@ TEST_F(FaultSweepTest, LossyReplayCompletesAndImputes) {
             recording().seated_intervals().size());
 }
 
+TEST_F(FaultSweepTest, EvictionGapsRepeatThePreviousRow) {
+  // A deadline longer than the ring span: an incomplete row is evicted
+  // before its deadline passes, is never released, and is forward-filled.
+  net::FaultConfig faults;
+  faults.drop_probability = 0.01;
+  net::StationConfig station;
+  station.deadline_ticks = 8;
+  station.max_pending = 2;
+  const ReplayResult replay =
+      replay_through_station(recording(), faults, station, 5);
+  const sim::Recording& got = replay.recording;
+  ASSERT_EQ(got.tick_count(), recording().tick_count());
+  EXPECT_GT(replay.health.evictions, 0u);
+  EXPECT_GT(replay.gap_rows, 0u);
+  EXPECT_LT(replay.gap_rows, static_cast<std::uint64_t>(got.tick_count()));
+
+  // Every cell is either the original sample or the previous row's value
+  // (released rows impute from it, gap rows repeat it outright), so at
+  // least gap_rows ticks repeat the previous row in every stream.
+  std::uint64_t repeats = 0;
+  for (Tick t = 0; t < got.tick_count(); ++t) {
+    bool repeat = true;
+    for (std::size_t s = 0; s < got.stream_count(); ++s) {
+      const double prev = t > 0 ? got.rssi(s, t - 1) : 0.0;
+      const double v = got.rssi(s, t);
+      ASSERT_TRUE(v == prev || v == recording().rssi(s, t))
+          << "tick " << t << " stream " << s;
+      repeat = repeat && v == prev;
+    }
+    if (repeat) ++repeats;
+  }
+  EXPECT_GE(repeats, replay.gap_rows);
+}
+
 TEST_F(FaultSweepTest, FaultyReplayRequiresADeadline) {
   net::FaultConfig faults;
   faults.drop_probability = 0.10;

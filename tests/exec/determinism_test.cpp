@@ -1,7 +1,7 @@
 // Thread-count invariance: the parallel pipelines must produce outputs
 // bit-identical to their serial counterparts.  Every parallel unit (day,
-// stream, fold, one-vs-one problem) is seeded independently before any
-// fan-out, so the only thing a bigger pool may change is wall time.
+// fold, one-vs-one problem) is seeded independently before any fan-out,
+// so the only thing a bigger pool may change is wall time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/ml/dataset.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
-#include "fadewich/rf/channel.hpp"
 #include "fadewich/rf/floorplan.hpp"
 #include "fadewich/sim/recording.hpp"
 #include "fadewich/sim/schedule.hpp"
@@ -73,41 +72,6 @@ TEST(DeterminismTest, SimulateWeekIsByteIdenticalAcrossThreadCounts) {
                        b.seated_intervals()[w][k].begin);
       EXPECT_DOUBLE_EQ(a.seated_intervals()[w][k].end,
                        b.seated_intervals()[w][k].end);
-    }
-  }
-}
-
-TEST(DeterminismTest, SampleBlockMatchesSuccessiveSampleCalls) {
-  const std::vector<rf::Point> sensors = {
-      {0.0, 0.0}, {6.0, 0.0}, {6.0, 3.0}, {0.0, 3.0}};
-  rf::ChannelConfig config;
-  config.quantize = false;
-
-  constexpr std::size_t kTicks = 400;
-  // One moving body so the shadowing path is exercised too.
-  std::vector<std::vector<rf::BodyState>> bodies(kTicks);
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    const double x = 0.5 + 5.0 * static_cast<double>(t) / kTicks;
-    bodies[t].push_back({{x, 1.5}, 1.0});
-  }
-
-  rf::ChannelMatrix serial(sensors, config, 7);
-  std::vector<double> expected;
-  std::vector<double> row(serial.stream_count());
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    serial.sample(bodies[t], row);
-    expected.insert(expected.end(), row.begin(), row.end());
-  }
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    exec::ThreadPool pool(threads);
-    rf::ChannelMatrix batched(sensors, config, 7);
-    std::vector<double> block(kTicks * batched.stream_count());
-    batched.sample_block(bodies, block, &pool);
-    ASSERT_EQ(block.size(), expected.size());
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      ASSERT_EQ(block[i], expected[i])
-          << "threads=" << threads << " flat index " << i;
     }
   }
 }

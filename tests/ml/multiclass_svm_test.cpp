@@ -228,6 +228,9 @@ TEST(MulticlassSvmTest, PredictBlockSingleClassAndContractChecks) {
                ContractViolation);
 }
 
+// Asserts on recorded telemetry, which -DFADEWICH_OBS=OFF compiles out
+// (the obs suites are left out of such builds for the same reason).
+#if !defined(FADEWICH_OBS_DISABLE)
 TEST(MulticlassSvmTest, PredictBlockRecordsBatchMetrics) {
   const Dataset data =
       gaussian_classes({{-5.0, 0.0}, {5.0, 0.0}}, 25, 0.8, 29);
@@ -262,6 +265,7 @@ TEST(MulticlassSvmTest, PredictBlockRecordsBatchMetrics) {
             static_cast<double>(
                 common::ScratchArena::process_bytes_reserved()));
 }
+#endif  // !FADEWICH_OBS_DISABLE
 
 // Class-count sweep: one-vs-one voting stays consistent as classes grow.
 class MulticlassSize : public ::testing::TestWithParam<int> {};

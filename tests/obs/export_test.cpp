@@ -79,7 +79,7 @@ TEST_F(ObsExportTest, JsonSnapshotCarriesPercentiles) {
   EXPECT_TRUE(contains(json, "{\"le\":\"+Inf\",\"count\":100}"));
 }
 
-TEST_F(ObsExportTest, ScrapeReportFoldsHealthEventsAndSpans) {
+TEST_F(ObsExportTest, ScrapeReportFoldsHealthBlocksAndEvents) {
   registry_.counter("t_scrape_total").inc();
   EventLog events;
   events.warn("net", "sensor offline", 40, {{"sensor", "1"}});
@@ -119,7 +119,7 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthEventsAndSpans) {
   EXPECT_FALSE(contains(json, "\"spans\""));
 }
 
-TEST_F(ObsExportTest, ScrapeWithoutEventsOrTracerIsMetricsOnly) {
+TEST_F(ObsExportTest, ScrapeWithoutEventsIsMetricsOnly) {
   registry_.gauge("t_only_gauge").set(2.0);
   const ScrapeReport report = scrape(registry_);
   EXPECT_TRUE(report.events.empty());
