@@ -4,7 +4,8 @@
 //
 // Report mode: `bench_micro_hotpaths [--fast] BENCH_hotpaths.json` runs
 // the scalar-vs-batched comparison suite instead (KDE pdf sweep, SVM
-// decision, SIMD kernel rows, full FadewichSystem::step) and writes
+// decision, SIMD kernel rows, CRC-32 over a frame and a digest row,
+// full FadewichSystem::step) and writes
 // the stamped JSON the CI perf gate diffs against the checked-in
 // baseline (tools/check_perf_regression.py).  FADEWICH_BENCH_HANDICAP
 // names one hot path whose *batched* side runs twice — a synthetic 2x
@@ -514,6 +515,47 @@ HotpathPair bench_channel_shadow_pass() {
   return result;
 }
 
+// CRC-32 over the two buffer sizes the serving path checksums every
+// tick: `bytes` = 56 is one wire frame's covered bytes (a 9-receiver
+// report, checked once per frame in decode) and 581 one shard digest
+// tick (a 72-stream row plus the MD state and label).  Frames start
+// from a fresh register each; digest ticks chain it, as Crc32 does.
+HotpathPair bench_crc32(const char* name, std::size_t bytes, bool chain) {
+  const bool fast = bench::fast_mode();
+  constexpr std::size_t kBuffers = 64;
+  const std::size_t calls = fast ? 40000 : 160000;
+  Rng rng(23);
+  std::vector<unsigned char> data(kBuffers * bytes);
+  for (auto& b : data) {
+    b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  }
+  const int reps = fast ? 5 : 10;
+  const int factor = handicap(name);
+  HotpathPair result{name, static_cast<std::int64_t>(calls), 0.0, 0.0};
+  const simd::KernelTable& scalar = simd::kernel_table(simd::Isa::kScalar);
+  const simd::KernelTable& active = simd::active_kernels();
+  const auto run = [&](const simd::KernelTable& kt) {
+    std::uint32_t state = 0xFFFFFFFFu;
+    std::uint32_t sink = 0;
+    for (std::size_t c = 0; c < calls; ++c) {
+      const unsigned char* p = data.data() + (c % kBuffers) * bytes;
+      if (chain) {
+        state = kt.crc32_update(state, p, bytes);
+      } else {
+        sink ^= kt.crc32_update(0xFFFFFFFFu, p, bytes);
+      }
+    }
+    benchmark::DoNotOptimize(state);
+    benchmark::DoNotOptimize(sink);
+  };
+  result.scalar_ns =
+      time_best_ns_per_op(reps, result.ops, [&] { run(scalar); });
+  result.batched_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (int f = 0; f < factor; ++f) run(active);
+  });
+  return result;
+}
+
 // Steady-state cost of one full online pipeline tick (KMA + MD + RE +
 // controller + sessions) on a warmed, quiet system — the loop the
 // zero-allocation budget covers.  No scalar/batched pair; tracked as a
@@ -578,7 +620,9 @@ int run_hotpath_report(const std::string& path) {
   const std::vector<HotpathPair> pairs{
       bench_kde_pdf_sweep(),    bench_svm_decision(),
       bench_kde_pdf_block(),    bench_svm_sqdist_block(),
-      bench_welford_push_row(), bench_channel_shadow_pass()};
+      bench_welford_push_row(), bench_channel_shadow_pass(),
+      bench_crc32("crc32_frame", 56, false),
+      bench_crc32("crc32_row", 581, true)};
   const SingleRate step = bench_system_step();
 
   std::ofstream out(path);

@@ -1,74 +1,12 @@
 #include "fadewich/common/crc32.hpp"
 
-#include <array>
-#include <cstring>
+#include "fadewich/common/simd_kernels.hpp"
 
 namespace fadewich {
 
-namespace {
-
-// Slice-by-8: eight derived tables let the hot loop fold 8 input bytes
-// per step with independent lookups instead of a one-byte-per-step
-// serial chain through the same table — several times the bytewise
-// throughput, same polynomial, same values.  tables[0] is the classic
-// bytewise table; tables[k][b] is b's contribution when it sits k bytes
-// deeper into the 8-byte block.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables make_tables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    tables[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = tables[0][i];
-    for (std::size_t k = 1; k < 8; ++k) {
-      c = tables[0][c & 0xFFu] ^ (c >> 8);
-      tables[k][i] = c;
-    }
-  }
-  return tables;
-}
-
-const CrcTables& tables() {
-  static const CrcTables t = make_tables();
-  return t;
-}
-
-std::uint32_t load_le32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
 void Crc32::update(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  const CrcTables& t = tables();
-  std::uint32_t crc = state_;
-  while (size >= 8) {
-    // Byte-assembled little-endian loads: endian-agnostic and free of
-    // unaligned-access UB, and they compile to single loads on the
-    // targets we build for.
-    const std::uint32_t lo = crc ^ load_le32(bytes);
-    const std::uint32_t hi = load_le32(bytes + 4);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
-          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    bytes += 8;
-    size -= 8;
-  }
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = t[0][(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  state_ = crc;
+  state_ = simd::active_kernels().crc32_update(
+      state_, static_cast<const unsigned char*>(data), size);
 }
 
 std::uint32_t crc32(const void* data, std::size_t size) {

@@ -1,7 +1,13 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum guarding every
-// on-disk artifact: recording files (sim::recording_io v2) and state
-// snapshots (persist).  Incremental so writers can accumulate while
-// streaming and readers can verify without buffering the whole payload.
+// wire frame, capture, state snapshot and recording file, and the
+// determinism digest each fleet shard folds its released rows into.
+// Incremental so writers can accumulate while streaming and readers can
+// verify without buffering the whole payload.
+//
+// The byte loop is the kernel table's crc32_update entry
+// (simd_kernels.hpp): a PCLMULQDQ folding kernel on AVX2+PCLMUL hosts,
+// the portable slice-by-8 step everywhere else and under
+// FADEWICH_SIMD=off.  Both produce the same value for any input split.
 #pragma once
 
 #include <cstddef>

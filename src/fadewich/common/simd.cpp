@@ -26,7 +26,10 @@ namespace {
 Isa detect_best() {
 #if defined(__x86_64__) || defined(_M_X64)
 #if defined(FADEWICH_SIMD_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+  // The AVX2 table's CRC-32 entry needs PCLMULQDQ as well.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul")) {
+    return Isa::kAvx2;
+  }
 #endif
   return Isa::kSse2;  // baseline on x86-64, always compiled in
 #elif defined(__aarch64__) || defined(__ARM_NEON)

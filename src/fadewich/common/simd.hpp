@@ -14,9 +14,10 @@
 // Dispatch model: the baseline translation unit carries the scalar table
 // plus the widest ISA the compiler targets unconditionally (SSE2 on
 // x86-64, NEON on aarch64).  AVX2 kernels are compiled in a separate
-// translation unit built with -mavx2 and reached only through the table,
-// after a runtime cpuid check — nothing AVX2-encoded is ever inlined into
-// code that may run on a non-AVX2 host.
+// translation unit built with -mavx2 -mpclmul and reached only through
+// the table, after a runtime cpuid check for both — nothing AVX2- or
+// PCLMUL-encoded is ever inlined into code that may run on a host
+// without them.
 //
 // Runtime knob: FADEWICH_SIMD ("off" / "0" / "scalar" forces the scalar
 // table; "sse2" / "neon" / "avx2" requests a specific ISA and falls back

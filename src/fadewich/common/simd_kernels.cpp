@@ -1,6 +1,6 @@
 // Baseline kernel tables: scalar everywhere, plus the widest ISA the
 // compiler targets unconditionally (SSE2 on x86-64, NEON on aarch64).
-// The AVX2 table lives in simd_kernels_avx2.cpp (compiled with -mavx2)
+// The AVX2 table lives in simd_kernels_avx2.cpp (-mavx2 -mpclmul)
 // and is reached only through kernel_table() after the cpuid check in
 // best_supported_isa().  Compiled with -ffp-contract=off (see
 // CMakeLists.txt) so per-lane results never depend on contraction.

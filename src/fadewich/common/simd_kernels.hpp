@@ -1,10 +1,10 @@
 // The function-pointer table behind every SIMD-dispatched hot kernel.
 //
 // Call sites (ml/kde.cpp, ml/svm.cpp, stats/window_bank.cpp,
-// core/features.cpp, rf/channel.cpp) fetch `active_kernels()` and call
-// through the pointers; benches and equivalence tests fetch specific
-// tables with `kernel_table(Isa)` to pin a path.  All entries share two
-// invariants:
+// core/features.cpp, rf/channel.cpp, common/crc32.cpp) fetch
+// `active_kernels()` and call through the pointers; benches and
+// equivalence tests fetch specific tables with `kernel_table(Isa)` to
+// pin a path.  All double entries share two invariants:
 //
 //  * Per-lane determinism: lane j of any entry performs the identical
 //    IEEE-754 double sequence at every vector width (the kernels are one
@@ -20,9 +20,17 @@
 // budgets); kde_erfsum_block and rbf_accum_block keep libm erf/exp, the
 // exact path (CDF tails feed percentile() bisection; RBF decisions sign
 // a classification).
+//
+// crc32_update is the one integer entry: it carries no lanes, so its
+// contract is plain equality of the 32-bit register.  Every table but
+// AVX2 runs the portable slice-by-8 step; the AVX2 table (whose
+// translation unit is also built with -mpclmul, and which detection
+// selects only when the CPU reports pclmul) folds 16-byte blocks with
+// carry-less multiplies.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "fadewich/common/simd.hpp"
 
@@ -124,6 +132,13 @@ struct KernelTable {
   void (*shadow_body_pass)(const ShadowGeomView& g, std::size_t n,
                            const ShadowParams& p, double* rssi,
                            double* noise_var);
+
+  /// CRC-32 (IEEE, reflected 0xEDB88320) over n bytes, on the raw
+  /// register: takes and returns the pre-inversion state common::Crc32
+  /// keeps, so calls chain across arbitrary splits.  bytes may be null
+  /// when n == 0.
+  std::uint32_t (*crc32_update)(std::uint32_t state,
+                                const unsigned char* bytes, std::size_t n);
 };
 
 /// Table for a specific ISA; falls back toward the scalar table when the

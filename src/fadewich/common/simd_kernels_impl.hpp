@@ -15,6 +15,7 @@
 // table — the property the SIMD equivalence suites assert with EXPECT_EQ.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -520,6 +521,66 @@ void k_shadow_body_pass(const ShadowGeomView& g, std::size_t n,
   }
 }
 
+// --- CRC-32 slice-by-8 ------------------------------------------------
+//
+// The portable CRC step: eight derived tables let the loop fold 8 input
+// bytes per step with independent lookups instead of a one-byte-per-step
+// serial chain through the same table.  crc_tables[0] is the classic
+// bytewise table; crc_tables[k][b] is b's contribution when it sits k
+// bytes deeper into the 8-byte block.  Built at compile time.
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = t[0][i];
+    for (std::size_t k = 1; k < 8; ++k) {
+      c = t[0][c & 0xFFu] ^ (c >> 8);
+      t[k][i] = c;
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables crc_tables = make_crc_tables();
+
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+std::uint32_t k_crc32_slice8(std::uint32_t crc, const unsigned char* bytes,
+                             std::size_t n) {
+  const CrcTables& t = crc_tables;
+  while (n >= 8) {
+    // Byte-assembled little-endian loads: endian-agnostic and free of
+    // unaligned-access UB, and they compile to single loads on the
+    // targets we build for.
+    const std::uint32_t lo = crc ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    bytes += 8;
+    n -= 8;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = t[0][(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
 template <typename V>
 KernelTable make_table(Isa isa) {
   KernelTable t;
@@ -537,6 +598,7 @@ KernelTable make_table(Isa isa) {
   t.coldev2 = &k_coldev2<V>;
   t.collagprod = &k_collagprod<V>;
   t.shadow_body_pass = &k_shadow_body_pass<V>;
+  t.crc32_update = &k_crc32_slice8;
   return t;
 }
 

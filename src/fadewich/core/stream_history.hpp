@@ -1,6 +1,10 @@
 // Short ring-buffered history of all streams, so the online system can
 // fetch V^(i)_{t1, t1+t_delta} when a variation window reaches t_delta
 // (t1 is at most t_delta + merge-gap ticks in the past).
+//
+// Tick-major layout: each slot holds one whole row, so push() — run on
+// every tick — is one contiguous copy, and window()/windows() — run only
+// on RE queries — gather one stream at a stride.
 #pragma once
 
 #include <algorithm>
@@ -45,11 +49,9 @@ class StreamHistory {
   /// Append one tick (one value per stream).
   void push(std::span<const double> row) {
     FADEWICH_EXPECTS(row.size() == stream_count_);
-    const std::size_t slot =
-        static_cast<std::size_t>(next_tick_ % static_cast<Tick>(capacity_));
-    for (std::size_t s = 0; s < stream_count_; ++s) {
-      data_[s * capacity_ + slot] = row[s];
-    }
+    std::copy(row.begin(), row.end(),
+              data_.begin() + static_cast<std::ptrdiff_t>(
+                                  slot_of(next_tick_) * stream_count_));
     ++next_tick_;
   }
 
@@ -64,9 +66,7 @@ class StreamHistory {
     std::vector<double> out;
     out.reserve(static_cast<std::size_t>(end - begin + 1));
     for (Tick t = begin; t <= end; ++t) {
-      const std::size_t slot =
-          static_cast<std::size_t>(t % static_cast<Tick>(capacity_));
-      out.push_back(data_[stream * capacity_ + slot]);
+      out.push_back(data_[slot_of(t) * stream_count_ + stream]);
     }
     return out;
   }
@@ -82,9 +82,13 @@ class StreamHistory {
   }
 
  private:
+  std::size_t slot_of(Tick t) const {
+    return static_cast<std::size_t>(t % static_cast<Tick>(capacity_));
+  }
+
   std::size_t stream_count_;
   std::size_t capacity_;
-  std::vector<double> data_;  // stream-major ring: data_[s * cap + slot]
+  std::vector<double> data_;  // tick-major ring: data_[slot * streams + s]
   Tick next_tick_ = 0;
 };
 

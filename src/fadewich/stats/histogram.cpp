@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/stats/descriptive.hpp"
 
 namespace fadewich::stats {
@@ -90,13 +90,23 @@ double Histogram::entropy() const {
 
 double value_entropy(std::span<const double> xs) {
   FADEWICH_EXPECTS(!xs.empty());
-  std::map<double, std::size_t> freq;
-  for (double x : xs) ++freq[x];
+  // Sort a scratch copy and fold runs of equal values.  Runs come out in
+  // ascending value order with `<` as the equivalence (so -0.0 and +0.0
+  // are one outcome), the same outcomes and order a std::map<double,
+  // count> walk gives, hence the same -p*log(p) sum bit for bit.
+  auto& arena = common::ScratchArena::local();
+  const auto scratch_frame = arena.frame();
+  const std::span<double> sorted = arena.get<double>(xs.size());
+  std::copy(xs.begin(), xs.end(), sorted.begin());
+  std::sort(sorted.begin(), sorted.end());
   const double n = static_cast<double>(xs.size());
   double h = 0.0;
-  for (const auto& [value, count] : freq) {
-    const double p = static_cast<double>(count) / n;
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i + 1;
+    while (j < sorted.size() && !(sorted[i] < sorted[j])) ++j;
+    const double p = static_cast<double>(j - i) / n;
     h -= p * std::log(p);
+    i = j;
   }
   return h;
 }

@@ -94,7 +94,8 @@ class Histogram {
 /// Entropy of the value-frequency distribution of a window, exactly as RE
 /// uses it: each distinct value is one outcome, P(r_j) its frequency.
 /// RSSI samples are quantised (1 dBm), so distinct-value counting matches
-/// the paper's histogram over the window's values.  Requires non-empty.
+/// the paper's histogram over the window's values.  Requires non-empty
+/// and NaN-free (values are ordered by `<`).
 double value_entropy(std::span<const double> xs);
 
 }  // namespace fadewich::stats

@@ -67,5 +67,40 @@ TEST(StreamHistoryTest, OldestTickBeforeWrapIsZero) {
   EXPECT_EQ(history.oldest_tick(), 0);
 }
 
+TEST(StreamHistoryTest, WrapsRepeatedlyAt72Streams) {
+  // A full office row per tick, pushed past three wraps of the ring;
+  // every retained tick of every stream must read back as pushed.
+  constexpr std::size_t kStreams = 72;
+  constexpr std::size_t kCapacity = 23;
+  StreamHistory history(kStreams, kCapacity);
+  const auto value = [](std::size_t tick, std::size_t stream) {
+    return -40.0 - static_cast<double>(tick) -
+           static_cast<double>(stream) / 100.0;
+  };
+  std::vector<double> row(kStreams);
+  constexpr std::size_t kTicks = 3 * kCapacity + 5;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    for (std::size_t s = 0; s < kStreams; ++s) row[s] = value(t, s);
+    history.push(row);
+  }
+  const Tick end = static_cast<Tick>(kTicks) - 1;
+  const Tick oldest = history.oldest_tick();
+  ASSERT_EQ(oldest, static_cast<Tick>(kTicks - kCapacity));
+  for (Tick begin = oldest; begin <= end; ++begin) {
+    const auto all = history.windows(begin, end);
+    ASSERT_EQ(all.size(), kStreams);
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      const auto w = history.window(s, begin, end);
+      ASSERT_EQ(w, all[s]);
+      ASSERT_EQ(w.size(), static_cast<std::size_t>(end - begin + 1));
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(w[i], value(static_cast<std::size_t>(begin) + i, s))
+            << "stream " << s << " tick " << begin + static_cast<Tick>(i);
+      }
+    }
+  }
+  EXPECT_THROW(history.window(0, oldest - 1, end), ContractViolation);
+}
+
 }  // namespace
 }  // namespace fadewich::core

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/rng.hpp"
 
 namespace fadewich::stats {
 namespace {
@@ -169,6 +171,46 @@ TEST(ValueEntropyTest, SkewedDistributionBetweenZeroAndLogN) {
   const double h = value_entropy(xs);
   EXPECT_GT(h, 0.0);
   EXPECT_LT(h, std::log(2.0));
+}
+
+// The std::map formulation value_entropy used before the sort-based
+// one: the oracle the bit-equality test below holds it to.
+double map_value_entropy(std::span<const double> xs) {
+  std::map<double, std::size_t> freq;
+  for (double x : xs) ++freq[x];
+  const double n = static_cast<double>(xs.size());
+  double h = 0.0;
+  for (const auto& [value, count] : freq) {
+    const double p = static_cast<double>(count) / n;
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+TEST(ValueEntropyTest, BitIdenticalToTheMapOracle) {
+  Rng rng(31);
+  const auto check = [](const std::vector<double>& xs) {
+    EXPECT_EQ(value_entropy(xs), map_value_entropy(xs)) << xs.size();
+  };
+  check({-70.0});
+  check({0.0});
+  check(std::vector<double>(40, -63.0));
+  // Signed zeros are one outcome under both.
+  check({0.0, -0.0, 0.0, -0.0, 1.0});
+  check({-0.0, -0.0, 0.0, -1.0, 0.0, -1.0});
+  for (int trial = 0; trial < 500; ++trial) {
+    // Quantised dBm windows (heavy ties) and fine-grained ones (few).
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    const bool quantised = trial % 2 == 0;
+    std::vector<double> xs(n);
+    for (auto& x : xs) {
+      x = quantised ? std::round(rng.normal(-60.0, 2.0))
+                    : rng.normal(-60.0, 2.0);
+    }
+    if (trial % 5 == 0) xs[rng.uniform_int(0, n - 1)] = -0.0;
+    if (trial % 7 == 0) xs[rng.uniform_int(0, n - 1)] = 0.0;
+    check(xs);
+  }
 }
 
 TEST(ValueEntropyTest, RejectsEmpty) {

@@ -286,6 +286,30 @@ void check_shadow_pass(const std::vector<const KernelTable*>& tables) {
   }
 }
 
+// The one integer entry: the 32-bit register must match exactly over
+// lengths straddling the 16- and 64-byte fold blocks and every start
+// alignment of a 16-byte block.
+void check_crc32(const std::vector<const KernelTable*>& tables) {
+  Prng prng(707);
+  std::vector<unsigned char> buf(300 + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(prng.next());
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const auto state = static_cast<std::uint32_t>(prng.next());
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t ref = tables[0]->crc32_update(state, p, n);
+      for (std::size_t ti = 1; ti < tables.size(); ++ti) {
+        if (tables[ti]->crc32_update(state, p, n) == ref) continue;
+        ++failures;
+        if (failures <= 20) {
+          std::fprintf(stderr, "FAIL crc32_update [%s] len %zu offset %zu\n",
+                       isa_name(tables[ti]->isa), n, offset);
+        }
+      }
+    }
+  }
+}
+
 void check_fast_exp_specials() {
   const double inf = std::numeric_limits<double>::infinity();
   struct {
@@ -323,6 +347,7 @@ int main() {
   check_welford(tables);
   check_column_reductions(tables);
   check_shadow_pass(tables);
+  check_crc32(tables);
 
   if (failures != 0) {
     std::fprintf(stderr, "simd_selftest: %d mismatch(es)\n", failures);
